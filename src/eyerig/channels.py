@@ -217,8 +217,68 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
+
+def _validate_rows(
+    values: np.ndarray,
+    head_ranges: Mapping[str, tuple[float, float]] | None,
+    frames: Sequence[int | None],
+) -> ValidationReport:
+    """Masked checks of every rule over (T, 17) values; frames[t] labels row t.
+
+    Violations come out frame by frame, and within a frame in rule order:
+    au_range, gaze_range, head_range (channel order), then gaze_opposition
+    and lid_conflict (pair order).  Messages are formatted for hits only.
+    """
+    ranges = dict(DEFAULT_HEAD_RANGES)
+    if head_ranges:
+        ranges.update(head_ranges)
+    lo = np.array([0.0] * (N_AU + N_GAZE) + [ranges[n][0] for n in HEAD_NAMES])
+    hi = np.array([1.0] * (N_AU + N_GAZE) + [ranges[n][1] for n in HEAD_NAMES])
+    opposing = [(channel_index(a), channel_index(b)) for a, b in OPPOSING_GAZE_PAIRS]
+    lids = [(channel_index(a), channel_index(b)) for a, b in LID_CONFLICT_PAIRS]
+    # written as not-inside so that NaN counts as out of range
+    hits = np.concatenate(
+        [~((lo <= values) & (values <= hi))]
+        + [((values[:, a] > 0.0) & (values[:, b] > 0.0))[:, None] for a, b in opposing]
+        + [
+            ((values[:, a] > LID_CONFLICT_LIMIT) & (values[:, b] > LID_CONFLICT_LIMIT))[:, None]
+            for a, b in lids
+        ],
+        axis=1,
+    )
+    report = ValidationReport()
+    for t, k in zip(*np.nonzero(hits)):
+        row, frame = values[t], frames[t]
+        if k < N_CHANNELS:
+            name, v = CHANNEL_NAMES[k], row[k]
+            if k < N_AU + N_GAZE:
+                rule = "au_range" if k < N_AU else "gaze_range"
+                violation = Violation(rule, name, f"{name}={v:.4g} outside [0, 1]", frame)
+            else:
+                lo_k, hi_k = ranges[name]
+                violation = Violation(
+                    "head_range", name, f"{name}={v:.4g} outside [{lo_k:g}, {hi_k:g}] deg", frame
+                )
+        elif k < N_CHANNELS + len(opposing):
+            a, b = OPPOSING_GAZE_PAIRS[k - N_CHANNELS]
+            va, vb = row[channel_index(a)], row[channel_index(b)]
+            violation = Violation(
+                "gaze_opposition",
+                a,
+                f"opposing gaze channels {a}={va:.4g} and {b}={vb:.4g} both active",
+                frame,
+            )
+        else:
+            raise_name, close_name = LID_CONFLICT_PAIRS[k - N_CHANNELS - len(opposing)]
+            vr, vc = row[channel_index(raise_name)], row[channel_index(close_name)]
+            violation = Violation(
+                "lid_conflict",
+                raise_name,
+                f"{raise_name}={vr:.4g} and {close_name}={vc:.4g} both exceed {LID_CONFLICT_LIMIT}",
+                frame,
+            )
+        report.violations.append(violation)
+    return report
 
 
 def validate_control_state(
@@ -230,66 +290,20 @@ def validate_control_state(
 
     Rules reported: au_range, gaze_range, head_range, gaze_opposition,
     lid_conflict.  The report lists every failure, not just the first.
+    This is `validate_sequence`'s check on a single frame.
     """
-    ranges = dict(DEFAULT_HEAD_RANGES)
-    if head_ranges:
-        ranges.update(head_ranges)
-    report = ValidationReport()
-
-    for i, name in enumerate(AU_NAMES):
-        v = state.au[i]
-        if not (0.0 <= v <= 1.0):
-            report.violations.append(
-                Violation("au_range", name, f"{name}={v:.4g} outside [0, 1]", frame)
-            )
-    for i, name in enumerate(GAZE_NAMES):
-        v = state.gaze[i]
-        if not (0.0 <= v <= 1.0):
-            report.violations.append(
-                Violation("gaze_range", name, f"{name}={v:.4g} outside [0, 1]", frame)
-            )
-    for i, name in enumerate(HEAD_NAMES):
-        lo, hi = ranges[name]
-        v = state.head[i]
-        if not (lo <= v <= hi):
-            report.violations.append(
-                Violation("head_range", name, f"{name}={v:.4g} outside [{lo:g}, {hi:g}] deg", frame)
-            )
-    for a, b in OPPOSING_GAZE_PAIRS:
-        va = state.gaze[channel_index(a) - N_AU]
-        vb = state.gaze[channel_index(b) - N_AU]
-        if va > 0.0 and vb > 0.0:
-            report.violations.append(
-                Violation(
-                    "gaze_opposition",
-                    a,
-                    f"opposing gaze channels {a}={va:.4g} and {b}={vb:.4g} both active",
-                    frame,
-                )
-            )
-    for raise_name, close_name in LID_CONFLICT_PAIRS:
-        vr = state.au[channel_index(raise_name)]
-        vc = state.au[channel_index(close_name)]
-        if vr > LID_CONFLICT_LIMIT and vc > LID_CONFLICT_LIMIT:
-            report.violations.append(
-                Violation(
-                    "lid_conflict",
-                    raise_name,
-                    f"{raise_name}={vr:.4g} and {close_name}={vc:.4g} both exceed {LID_CONFLICT_LIMIT}",
-                    frame,
-                )
-            )
-    return report
+    return _validate_rows(state.as_vector()[None], head_ranges, [frame])
 
 
 def validate_sequence(
     seq: ControlSequence, head_ranges: Mapping[str, tuple[float, float]] | None = None
 ) -> ValidationReport:
-    """Frame-wise validate_control_state over a whole sequence; frames are 1-based."""
-    report = ValidationReport()
-    for t in range(len(seq)):
-        report.extend(validate_control_state(seq.frame(t), head_ranges, frame=t + 1))
-    return report
+    """Check every frame at once with masked array checks; frames are 1-based.
+
+    The violations are the same, in the same frame-major order, as calling
+    `validate_control_state` on each frame in turn.
+    """
+    return _validate_rows(seq.values, head_ranges, range(1, len(seq) + 1))
 
 
 def channel_summary(seq: ControlSequence) -> ChannelSummary:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -196,7 +197,12 @@ def _cmd_compile(args, cfg: PipelineConfig) -> int:
     if args.frames is not None:
         total = args.frames
     else:
-        total = max(1, round(args.duration_seconds * cfg.fps))
+        frames = args.duration_seconds * cfg.fps
+        if not math.isfinite(frames):
+            raise _UsageError(
+                f"--duration-seconds {args.duration_seconds!r} gives no finite frame count at {cfg.fps:g} fps"
+            )
+        total = max(1, round(frames))
     pose = _parse_pose(args.initial_pose)
 
     p = plan(

@@ -29,6 +29,7 @@ from .mapper import (
     N_POINTS,
     DeformationModel,
     KeypointSequence3D,
+    _write_json_streamed,
     default_model,
     euler_from_rotation,
 )
@@ -199,24 +200,23 @@ def query(
 
 
 def save_library(lib: PrototypeLibrary, path: str | Path) -> None:
-    """Write the library JSON; floats round-trip bit-exact via repr."""
-    payload = {
-        "version": LIBRARY_FORMAT_VERSION,
-        "prototypes": [
+    """Write the library JSON; floats round-trip bit-exact via repr.
+
+    Prototypes are encoded and written one at a time, so memory holds one
+    prototype's text, not the whole file's.
+    """
+    blocks = (
+        [
             {
                 "label": p.label,
                 "fps": float(p.controls.fps),
-                "controls": [[float(v) for v in row] for row in p.controls.values],
-                "keypoints": [
-                    [[float(c) for c in pt] for pt in frame] for frame in p.keypoints.frames
-                ],
+                "controls": p.controls.values.tolist(),
+                "keypoints": p.keypoints.frames.tolist(),
             }
-            for p in lib.prototypes
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        ]
+        for p in lib.prototypes
+    )
+    _write_json_streamed(path, {"version": LIBRARY_FORMAT_VERSION}, "prototypes", blocks)
 
 
 def load_library(path: str | Path) -> PrototypeLibrary:

@@ -4,19 +4,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .channels import (
-    AU_NAMES,
+    AU_SLICE,
     GAZE_NAMES,
+    GAZE_SLICE,
+    HEAD_SLICE,
     N_AU,
     N_GAZE,
     ControlSequence,
     ControlState,
     channel_index,
     validate_control_state,
+    validate_sequence,
 )
 
 __all__ = [
@@ -347,20 +351,26 @@ def default_model() -> DeformationModel:
     return _DEFAULT_MODEL
 
 
-def rotation_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
+def rotation_matrix(yaw: ArrayLike, pitch: ArrayLike, roll: ArrayLike) -> np.ndarray:
     """Head rotation R = Rz(roll) @ Rx(-pitch) @ Ry(yaw), angles in degrees.
 
     Intrinsic z-x-y composition in a y-up frame with the camera looking down
     -z.  yaw=90 maps +z to +x; roll=90 maps +x to +y; positive pitch raises
-    the face (+z toward +y), so a lowering head has negative pitch.
+    the face (+z toward +y), so a lowering head has negative pitch.  Scalar
+    angles give one (3, 3) matrix; arrays broadcast to a (..., 3, 3) stack.
     """
-    y, p, r = np.deg2rad([yaw, pitch, roll])
+    y, p, r = np.deg2rad(np.stack(np.broadcast_arrays(yaw, pitch, roll)))
     cy, sy = np.cos(y), np.sin(y)
     cp, sp = np.cos(p), np.sin(p)
     cr, sr = np.cos(r), np.sin(r)
-    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cp, sp], [0.0, -sp, cp]])
-    rz = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
+    o, i = np.zeros_like(y), np.ones_like(y)
+
+    def mat(*rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    ry = mat((cy, o, sy), (o, i, o), (-sy, o, cy))
+    rx = mat((i, o, o), (o, cp, sp), (o, -sp, cp))
+    rz = mat((cr, -sr, o), (sr, cr, o), (o, o, i))
     return rz @ rx @ ry
 
 
@@ -393,13 +403,30 @@ def _project(points3d: np.ndarray, model: DeformationModel) -> np.ndarray:
     return out
 
 
+def _map_values(values: np.ndarray, model: DeformationModel) -> tuple[np.ndarray, np.ndarray]:
+    """Map (T, 17) control values to (T, 62, 2) projected and (T, 62, 3) rotated points.
+
+    Per-frame (1, k) @ (k, 186) products keep every frame's sums in the same
+    order as `deform`'s, so the stack is bit-identical to mapping frame by
+    frame; one (T, k) @ (k, 186) product is not.
+    """
+    disp = np.matmul(values[:, None, AU_SLICE], model.au_bases.reshape(N_AU, -1))
+    disp += np.matmul(values[:, None, GAZE_SLICE], model.gaze_bases.reshape(N_GAZE, -1))
+    pre = model.template + disp.reshape(-1, N_POINTS, 3)
+    R = rotation_matrix(*values[:, HEAD_SLICE].T)
+    c = model.centroid
+    rotated = (pre - c) @ R.swapaxes(-1, -2) + c
+    return _project(rotated, model), rotated
+
+
 def map_frame(
     state: ControlState, model: DeformationModel | None = None, validate: bool = True
 ) -> tuple[KeypointFrame, np.ndarray]:
     """Map one control state to (projected 2-D frame, rotated 3-D points).
 
     Deformation is applied in the canonical frame, then the head rotation
-    about the template centroid, then weak-perspective projection.
+    about the template centroid, then weak-perspective projection.  This is
+    `map_sequence` on one frame.
     """
     model = model or default_model()
     if validate:
@@ -407,40 +434,65 @@ def map_frame(
         if not report.ok:
             msgs = "; ".join(v.message for v in report.violations)
             raise ValueError(f"invalid control state: {msgs}")
-    pre = deform(state, model)
-    R = rotation_matrix(*state.head)
-    c = model.centroid
-    rotated = (pre - c) @ R.T + c
-    return KeypointFrame(_project(rotated, model)), rotated
+    points2d, rotated = _map_values(state.as_vector()[None], model)
+    return KeypointFrame(points2d[0]), rotated[0]
 
 
 def map_sequence(
     seq: ControlSequence, model: DeformationModel | None = None, validate: bool = True
 ) -> tuple[KeypointSequence, KeypointSequence3D]:
-    """Frame-wise map_frame over a sequence; fps is carried through."""
+    """Map every frame at once to (2-D, 3-D) keypoints; fps is carried through.
+
+    The sequence is validated as a whole first; an invalid one raises
+    "frame N: invalid control state: ..." for its first bad frame only.
+    The points equal mapping each frame on its own with `map_frame`.
+    """
     model = model or default_model()
-    frames2d = np.empty((len(seq), N_POINTS, 2))
-    frames3d = np.empty((len(seq), N_POINTS, 3))
-    for tdx in range(len(seq)):
-        try:
-            frame, rotated = map_frame(seq.frame(tdx), model, validate=validate)
-        except ValueError as exc:
-            raise ValueError(f"frame {tdx + 1}: {exc}") from exc
-        frames2d[tdx] = frame.points
-        frames3d[tdx] = rotated
-    return KeypointSequence(frames2d, seq.fps), KeypointSequence3D(frames3d, seq.fps)
+    if validate:
+        report = validate_sequence(seq)
+        if not report.ok:
+            first = report.violations[0].frame
+            msgs = "; ".join(v.message for v in report.violations if v.frame == first)
+            raise ValueError(f"frame {first}: invalid control state: {msgs}")
+    points2d, rotated = _map_values(seq.values, model)
+    return KeypointSequence(points2d, seq.fps), KeypointSequence3D(rotated, seq.fps)
+
+
+# Frames per block when streaming keypoints: bounds the text held at once.
+_KEYPOINT_BLOCK_FRAMES = 256
+
+
+def _write_json_streamed(path: str | Path, payload: dict, key: str, blocks: Iterable[list[Any]]) -> None:
+    """Write `payload` with `payload[key]` set to the items of `blocks`, non-empty lists, in order.
+
+    The bytes equal `json.dump({**payload, key: [...]}, fh, sort_keys=True)`
+    plus a newline, but each block is encoded on its own by the C encoder
+    (`json.dumps`; `json.dump` runs the pure-Python one), so only one block's
+    text is held at a time.
+    """
+    key_text = json.dumps(key)
+    head, _, tail = json.dumps({**payload, key: None}, sort_keys=True).partition(f"{key_text}: null")
+    with open(path, "w") as fh:
+        fh.write(f"{head}{key_text}: [")
+        sep = ""
+        for block in blocks:
+            fh.write(sep + json.dumps(block, sort_keys=True)[1:-1])
+            sep = ", "
+        fh.write(f"]{tail}\n")
 
 
 def save_keypoints_json(seq: KeypointSequence | KeypointSequence3D, path: str | Path) -> None:
-    """Serialize keypoints with fps and the layout id; 2-D or 3-D by type."""
-    payload = {
-        "fps": float(seq.fps),
-        "layout": KEYPOINT_LAYOUT,
-        "frames": [[[float(c) for c in pt] for pt in frame] for frame in seq.frames],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    """Serialize keypoints with fps and the layout id; 2-D or 3-D by type.
+
+    Frames are written in blocks of a few hundred, so memory stays bounded
+    on long clips; the file is the same as one `json.dump` of the payload.
+    """
+    frames = seq.frames
+    blocks = (
+        frames[i : i + _KEYPOINT_BLOCK_FRAMES].tolist()
+        for i in range(0, len(frames), _KEYPOINT_BLOCK_FRAMES)
+    )
+    _write_json_streamed(path, {"fps": float(seq.fps), "layout": KEYPOINT_LAYOUT}, "frames", blocks)
 
 
 def load_keypoints_json(path: str | Path) -> KeypointSequence | KeypointSequence3D:

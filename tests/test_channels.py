@@ -20,6 +20,7 @@ from eyerig.channels import (
     validate_control_state,
     validate_sequence,
 )
+from eyerig.mapper import map_sequence
 
 
 def vec(**channels):
@@ -77,6 +78,39 @@ def test_validate_sequence_reports_frame_numbers():
     values[1] = vec(gaze_up=0.4, gaze_down=0.4)
     report = validate_sequence(ControlSequence(values, 25.0))
     assert [v.frame for v in report.violations] == [2]
+
+    # every rule, several frames, custom head ranges: the exact list, in order
+    values = np.zeros((6, N_CHANNELS))
+    values[1] = vec(AU43_R=1.5, gaze_down=-0.25, yaw=12.5, gaze_left=0.3, gaze_right=0.2)
+    values[2] = vec(AU5_L=0.75, AU43_L=0.6, AU5_R=0.9, AU43_R=0.9)
+    values[4] = vec(AU1=-0.1, gaze_up=0.5, gaze_down=0.125, pitch=-31.0, roll=7.0)
+    values[5] = vec(gaze_right=1.25, AU5_R=0.51, AU43_R=0.52)
+    ranges = {"yaw": (-10.0, 10.0), "pitch": (-30, 30)}
+    report = validate_sequence(ControlSequence(values, 25.0), head_ranges=ranges)
+    assert [(v.rule, v.channel, v.message, v.frame) for v in report.violations] == [
+        ("au_range", "AU43_R", "AU43_R=1.5 outside [0, 1]", 2),
+        ("gaze_range", "gaze_down", "gaze_down=-0.25 outside [0, 1]", 2),
+        ("head_range", "yaw", "yaw=12.5 outside [-10, 10] deg", 2),
+        ("gaze_opposition", "gaze_left",
+         "opposing gaze channels gaze_left=0.3 and gaze_right=0.2 both active", 2),
+        ("lid_conflict", "AU5_L", "AU5_L=0.75 and AU43_L=0.6 both exceed 0.5", 3),
+        ("lid_conflict", "AU5_R", "AU5_R=0.9 and AU43_R=0.9 both exceed 0.5", 3),
+        ("au_range", "AU1", "AU1=-0.1 outside [0, 1]", 5),
+        ("head_range", "pitch", "pitch=-31 outside [-30, 30] deg", 5),
+        ("gaze_opposition", "gaze_up",
+         "opposing gaze channels gaze_up=0.5 and gaze_down=0.125 both active", 5),
+        ("gaze_range", "gaze_right", "gaze_right=1.25 outside [0, 1]", 6),
+        ("lid_conflict", "AU5_R", "AU5_R=0.51 and AU43_R=0.52 both exceed 0.5", 6),
+    ]
+
+    # the mapper refuses on the first bad frame, naming only its violations
+    with pytest.raises(ValueError) as exc:
+        map_sequence(ControlSequence(values, 25.0))
+    assert str(exc.value) == (
+        "frame 2: invalid control state: AU43_R=1.5 outside [0, 1]; "
+        "gaze_down=-0.25 outside [0, 1]; "
+        "opposing gaze channels gaze_left=0.3 and gaze_right=0.2 both active"
+    )
 
 
 def test_empty_sequence_rejected():

@@ -48,6 +48,14 @@ class TestCompile:
         audit = json.loads((tmp_path / "anger.audit.json").read_text())
         assert audit["frames"] == 30
 
+    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan"])
+    def test_non_finite_duration_is_usage_error(self, tmp_path, capsys, seconds):
+        code = run("compile", "--label", "fear", f"--duration-seconds={seconds}",
+                   "--out-dir", tmp_path)
+        assert code == 1
+        assert "--duration-seconds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):
             assert run("--seed", "3", "compile", "--label", "fear", "--frames", "40",

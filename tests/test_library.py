@@ -1,4 +1,6 @@
 """Prototype store: retrieval against a brute-force oracle, persistence, inversion."""
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,26 @@ def test_library_json_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(p.controls.values, q.controls.values)
         np.testing.assert_array_equal(p.keypoints.frames, q.keypoints.frames)
         np.testing.assert_array_equal(p.summary.mean, q.summary.mean)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_library_json_wire_format(tmp_path, n):
+    lib = make_library(np.random.default_rng(n), n, labels=("calm", "alert"), frames=4)
+    path = tmp_path / "lib.json"
+    save_library(lib, path)
+    payload = {
+        "version": 1,
+        "prototypes": [
+            {
+                "label": p.label,
+                "fps": p.controls.fps,
+                "controls": [[float(v) for v in row] for row in p.controls.values],
+                "keypoints": [[[float(c) for c in pt] for pt in f] for f in p.keypoints.frames],
+            }
+            for p in lib.prototypes
+        ],
+    }
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 def test_library_version_mismatch(tmp_path):

@@ -1,8 +1,17 @@
 """Deformation model: layout, rotation convention, projection, mirror symmetry."""
+import json
+
 import numpy as np
 import pytest
 
-from eyerig.channels import N_CHANNELS, ControlState, channel_index
+from eyerig.channels import (
+    AU_SLICE,
+    GAZE_SLICE,
+    N_CHANNELS,
+    ControlState,
+    channel_index,
+    enforce_state_invariants,
+)
 from eyerig.mapper import (
     GAZE_POINT_INDICES,
     KEYPOINT_LAYOUT,
@@ -16,6 +25,7 @@ from eyerig.mapper import (
     DeformationModel,
     KeypointSequence,
     KeypointSequence3D,
+    _KEYPOINT_BLOCK_FRAMES,
     default_model,
     deform,
     euler_from_rotation,
@@ -174,6 +184,29 @@ def test_map_sequence_shapes_and_fps():
     assert k2.fps == 30.0 and k3.fps == 30.0
 
 
+def test_map_sequence_matches_per_frame_composition():
+    m = default_model()
+    rng = np.random.default_rng(29)
+    n = 300
+    t = np.arange(n) / 25.0
+    v = np.zeros((n, N_CHANNELS))
+    v[:, AU_SLICE] = rng.uniform(0, 1, (n, 10))
+    v[:, GAZE_SLICE] = rng.uniform(0, 1, (n, 4))
+    v[:, 14] = 60 * np.sin(0.7 * t) + rng.normal(0, 2, n)
+    v[:, 15] = 35 * np.sin(1.3 * t + 1) + rng.normal(0, 2, n)
+    v[:, 16] = 25 * np.cos(0.9 * t) + rng.normal(0, 2, n)
+    v = enforce_state_invariants(v)
+    k2, k3 = map_sequence(ControlSequence(v, 25.0), m)
+    c = m.centroid
+    ppx, ppy = m.principal_point
+    for i in range(n):
+        st = ControlState.from_vector(v[i])
+        rotated = (deform(st, m) - c) @ rotation_matrix(*map(float, st.head)).T + c
+        projected = np.stack([ppx + m.scale * rotated[:, 0], ppy - m.scale * rotated[:, 1]], axis=1)
+        assert np.array_equal(k3.frames[i], rotated), i
+        assert np.array_equal(k2.frames[i], projected), i
+
+
 def test_keypoints_stay_normalized_under_legal_poses():
     m = default_model()
     rng = np.random.default_rng(13)
@@ -206,6 +239,21 @@ def test_keypoint_json_round_trip_3d(tmp_path):
     back = load_keypoints_json(path)
     assert isinstance(back, KeypointSequence3D)
     np.testing.assert_array_equal(back.frames, k3.frames)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("n", [1, _KEYPOINT_BLOCK_FRAMES, _KEYPOINT_BLOCK_FRAMES + 1])
+def test_keypoint_json_wire_format(tmp_path, dims, n):
+    frames = np.random.default_rng(n).normal(0.5, 0.2, (n, N_POINTS, dims))
+    seq = (KeypointSequence if dims == 2 else KeypointSequence3D)(frames, 30.0)
+    path = tmp_path / "kp.json"
+    save_keypoints_json(seq, path)
+    payload = {
+        "fps": 30.0,
+        "layout": KEYPOINT_LAYOUT,
+        "frames": [[[float(c) for c in pt] for pt in f] for f in frames],
+    }
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 def test_keypoint_json_bad_layout(tmp_path):
