@@ -6,11 +6,9 @@ from .channels import (
     CHANNEL_NAMES,
     GAZE_NAMES,
     HEAD_NAMES,
-    ChannelSummary,
     ControlSequence,
     ControlState,
     ValidationReport,
-    channel_summary,
     load_controls_csv,
     resample_sequence,
     save_controls_csv,

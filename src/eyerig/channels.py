@@ -5,7 +5,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,17 +22,18 @@ __all__ = [
     "GAZE_SLICE",
     "HEAD_SLICE",
     "DEFAULT_HEAD_RANGES",
+    "CHANNEL_RANGES",
+    "DIRECTIONS",
     "OPPOSING_GAZE_PAIRS",
     "LID_CONFLICT_PAIRS",
     "ControlState",
     "ControlSequence",
-    "ChannelSummary",
     "Violation",
     "ValidationReport",
     "channel_index",
+    "opposing_gaze",
     "validate_control_state",
     "validate_sequence",
-    "channel_summary",
     "resample_sequence",
     "enforce_state_invariants",
     "mirror_control_vector",
@@ -73,11 +74,27 @@ DEFAULT_HEAD_RANGES: dict[str, tuple[float, float]] = {
     "roll": (-45.0, 45.0),
 }
 
+# Legal (lo, hi) of every channel, in channel order; the one range table.
+CHANNEL_RANGES: dict[str, tuple[float, float]] = {
+    name: DEFAULT_HEAD_RANGES.get(name, (0.0, 1.0)) for name in CHANNEL_NAMES
+}
+_RANGE_LO = np.array([lo for lo, _ in CHANNEL_RANGES.values()])
+_RANGE_HI = np.array([hi for _, hi in CHANNEL_RANGES.values()])
+
 # Antagonist gaze channels: at most one of each pair may be active per frame.
 OPPOSING_GAZE_PAIRS: tuple[tuple[str, str], ...] = (
     ("gaze_left", "gaze_right"),
     ("gaze_up", "gaze_down"),
 )
+
+# Instructed directions, in this order: (gaze channel, head channel, sign of
+# that head angle when the head turns this way).
+DIRECTIONS: dict[str, tuple[str, str, float]] = {
+    "left": ("gaze_left", "yaw", -1.0),
+    "right": ("gaze_right", "yaw", 1.0),
+    "up": ("gaze_up", "pitch", 1.0),
+    "down": ("gaze_down", "pitch", -1.0),
+}
 
 # Upper-lid raise and lid closure on the same side cannot both exceed this.
 LID_CONFLICT_PAIRS: tuple[tuple[str, str], ...] = (("AU5_L", "AU43_L"), ("AU5_R", "AU43_R"))
@@ -102,6 +119,14 @@ CSV_FORMAT_VERSION = 1
 def channel_index(name: str) -> int:
     """Position of a channel in the 17-vector; raises KeyError for unknown names."""
     return _INDEX[name]
+
+
+def opposing_gaze(name: str) -> str:
+    """The antagonist of a gaze channel under OPPOSING_GAZE_PAIRS."""
+    for a, b in OPPOSING_GAZE_PAIRS:
+        if name in (a, b):
+            return b if name == a else a
+    raise KeyError(name)
 
 
 def _as_float_array(values: Iterable[float], n: int, what: str) -> np.ndarray:
@@ -184,22 +209,6 @@ class ControlSequence:
 
 
 @dataclass(frozen=True)
-class ChannelSummary:
-    """Per-channel mean/max/min over a sequence; the retrieval feature vector."""
-
-    mean: np.ndarray
-    max: np.ndarray
-    min: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("mean", "max", "min"):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), N_CHANNELS, name))
-            getattr(self, name).setflags(write=False)
-        if not (np.all(self.min <= self.mean + 1e-12) and np.all(self.mean <= self.max + 1e-12)):
-            raise ValueError("channel summary violates min <= mean <= max")
-
-
-@dataclass(frozen=True)
 class Violation:
     """One rule failure: where, which channel, which rule, human-readable why."""
 
@@ -218,27 +227,18 @@ class ValidationReport:
         return not self.violations
 
 
-def _validate_rows(
-    values: np.ndarray,
-    head_ranges: Mapping[str, tuple[float, float]] | None,
-    frames: Sequence[int | None],
-) -> ValidationReport:
+def _validate_rows(values: np.ndarray, frames: Sequence[int | None]) -> ValidationReport:
     """Masked checks of every rule over (T, 17) values; frames[t] labels row t.
 
     Violations come out frame by frame, and within a frame in rule order:
     au_range, gaze_range, head_range (channel order), then gaze_opposition
     and lid_conflict (pair order).  Messages are formatted for hits only.
     """
-    ranges = dict(DEFAULT_HEAD_RANGES)
-    if head_ranges:
-        ranges.update(head_ranges)
-    lo = np.array([0.0] * (N_AU + N_GAZE) + [ranges[n][0] for n in HEAD_NAMES])
-    hi = np.array([1.0] * (N_AU + N_GAZE) + [ranges[n][1] for n in HEAD_NAMES])
     opposing = [(channel_index(a), channel_index(b)) for a, b in OPPOSING_GAZE_PAIRS]
     lids = [(channel_index(a), channel_index(b)) for a, b in LID_CONFLICT_PAIRS]
     # written as not-inside so that NaN counts as out of range
     hits = np.concatenate(
-        [~((lo <= values) & (values <= hi))]
+        [~((_RANGE_LO <= values) & (values <= _RANGE_HI))]
         + [((values[:, a] > 0.0) & (values[:, b] > 0.0))[:, None] for a, b in opposing]
         + [
             ((values[:, a] > LID_CONFLICT_LIMIT) & (values[:, b] > LID_CONFLICT_LIMIT))[:, None]
@@ -251,14 +251,12 @@ def _validate_rows(
         row, frame = values[t], frames[t]
         if k < N_CHANNELS:
             name, v = CHANNEL_NAMES[k], row[k]
-            if k < N_AU + N_GAZE:
-                rule = "au_range" if k < N_AU else "gaze_range"
-                violation = Violation(rule, name, f"{name}={v:.4g} outside [0, 1]", frame)
-            else:
-                lo_k, hi_k = ranges[name]
-                violation = Violation(
-                    "head_range", name, f"{name}={v:.4g} outside [{lo_k:g}, {hi_k:g}] deg", frame
-                )
+            lo, hi = CHANNEL_RANGES[name]
+            family = "au" if k < N_AU else "gaze" if k < N_AU + N_GAZE else "head"
+            unit = " deg" if family == "head" else ""
+            violation = Violation(
+                f"{family}_range", name, f"{name}={v:.4g} outside [{lo:g}, {hi:g}]{unit}", frame
+            )
         elif k < N_CHANNELS + len(opposing):
             a, b = OPPOSING_GAZE_PAIRS[k - N_CHANNELS]
             va, vb = row[channel_index(a)], row[channel_index(b)]
@@ -281,35 +279,23 @@ def _validate_rows(
     return report
 
 
-def validate_control_state(
-    state: ControlState,
-    head_ranges: Mapping[str, tuple[float, float]] | None = None,
-    frame: int | None = None,
-) -> ValidationReport:
+def validate_control_state(state: ControlState, frame: int | None = None) -> ValidationReport:
     """Check one frame against range and co-activation constraints.
 
     Rules reported: au_range, gaze_range, head_range, gaze_opposition,
     lid_conflict.  The report lists every failure, not just the first.
     This is `validate_sequence`'s check on a single frame.
     """
-    return _validate_rows(state.as_vector()[None], head_ranges, [frame])
+    return _validate_rows(state.as_vector()[None], [frame])
 
 
-def validate_sequence(
-    seq: ControlSequence, head_ranges: Mapping[str, tuple[float, float]] | None = None
-) -> ValidationReport:
+def validate_sequence(seq: ControlSequence) -> ValidationReport:
     """Check every frame at once with masked array checks; frames are 1-based.
 
     The violations are the same, in the same frame-major order, as calling
     `validate_control_state` on each frame in turn.
     """
-    return _validate_rows(seq.values, head_ranges, range(1, len(seq) + 1))
-
-
-def channel_summary(seq: ControlSequence) -> ChannelSummary:
-    return ChannelSummary(
-        mean=seq.values.mean(axis=0), max=seq.values.max(axis=0), min=seq.values.min(axis=0)
-    )
+    return _validate_rows(seq.values, range(1, len(seq) + 1))
 
 
 def resample_sequence(seq: ControlSequence, target_len: int) -> ControlSequence:
@@ -332,32 +318,22 @@ def resample_sequence(seq: ControlSequence, target_len: int) -> ControlSequence:
     out = np.empty((target_len, N_CHANNELS))
     for j in range(N_CHANNELS):
         out[:, j] = np.interp(dst, src, seq.values[:, j])
-    out[:, AU_SLICE] = np.clip(out[:, AU_SLICE], 0.0, 1.0)
-    out[:, GAZE_SLICE] = np.clip(out[:, GAZE_SLICE], 0.0, 1.0)
+    unit = slice(0, N_AU + N_GAZE)
+    out[:, unit] = np.clip(out[:, unit], _RANGE_LO[unit], _RANGE_HI[unit])
     return ControlSequence(out, seq.fps)
 
 
-def enforce_state_invariants(
-    values: np.ndarray, head_ranges: Mapping[str, tuple[float, float]] | None = None
-) -> np.ndarray:
+def enforce_state_invariants(values: np.ndarray) -> np.ndarray:
     """Project raw (T, 17) values onto the valid set; returns a new array.
 
     Clamps ranges, resolves opposing-gaze co-activation by keeping the net
     direction, and caps the weaker side of an AU5/AU43 conflict at 0.5.
     Already-valid input comes back unchanged (idempotent).
     """
-    ranges = dict(DEFAULT_HEAD_RANGES)
-    if head_ranges:
-        ranges.update(head_ranges)
-    out = np.array(values, dtype=np.float64, copy=True)
-    if out.ndim != 2 or out.shape[1] != N_CHANNELS:
-        raise ValueError(f"expected (T, {N_CHANNELS}) values, got {out.shape}")
-    out[:, AU_SLICE] = np.clip(out[:, AU_SLICE], 0.0, 1.0)
-    out[:, GAZE_SLICE] = np.clip(out[:, GAZE_SLICE], 0.0, 1.0)
-    for name in HEAD_NAMES:
-        j = channel_index(name)
-        lo, hi = ranges[name]
-        out[:, j] = np.clip(out[:, j], lo, hi)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != N_CHANNELS:
+        raise ValueError(f"expected (T, {N_CHANNELS}) values, got {values.shape}")
+    out = np.clip(values, _RANGE_LO, _RANGE_HI)
     for a, b in OPPOSING_GAZE_PAIRS:
         ja, jb = channel_index(a), channel_index(b)
         both = (out[:, ja] > 0.0) & (out[:, jb] > 0.0)
@@ -365,8 +341,8 @@ def enforce_state_invariants(
             net = out[both, ja] - out[both, jb]
             out[both, ja] = np.maximum(net, 0.0)
             out[both, jb] = np.maximum(-net, 0.0)
-    for side in ("L", "R"):
-        jr, jc = channel_index(f"AU5_{side}"), channel_index(f"AU43_{side}")
+    for raise_name, close_name in LID_CONFLICT_PAIRS:
+        jr, jc = channel_index(raise_name), channel_index(close_name)
         both = (out[:, jr] > LID_CONFLICT_LIMIT) & (out[:, jc] > LID_CONFLICT_LIMIT)
         if np.any(both):
             # closure wins ties: the raise channel is the one capped

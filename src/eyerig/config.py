@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,8 @@ class PipelineConfig:
     sample_k: int = 1
 
     def __post_init__(self) -> None:
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps!r}")
+        if not (self.fps > 0 and math.isfinite(self.fps)):
+            raise ValueError(f"fps must be a finite positive number, got {self.fps!r}")
         if self.blend_frames < 0:
             raise ValueError(f"blend_frames must be >= 0, got {self.blend_frames}")
         if self.sample_k < 1:

@@ -2,16 +2,21 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channels import (
+    DIRECTIONS,
+    GAZE_NAMES,
+    HEAD_NAMES,
     ControlSequence,
     Violation,
     channel_index,
     enforce_state_invariants,
+    opposing_gaze,
 )
 from .composer import compose
 from .planner import (
@@ -35,19 +40,6 @@ __all__ = [
     "refine",
 ]
 
-_GAZE_HEAD = {
-    # gaze channel -> (head channel, sign of the expected deflection)
-    "gaze_left": ("yaw", -1.0),
-    "gaze_right": ("yaw", 1.0),
-    "gaze_up": ("pitch", 1.0),
-    "gaze_down": ("pitch", -1.0),
-}
-_GAZE_OPPOSITE = {
-    "gaze_left": "gaze_right",
-    "gaze_right": "gaze_left",
-    "gaze_up": "gaze_down",
-    "gaze_down": "gaze_up",
-}
 _COACTIVATION_PAIRS = (
     ("AU4_L", "AU2_L"),
     ("AU4_R", "AU2_R"),
@@ -129,17 +121,10 @@ class RefineResult:
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal True runs as 0-based inclusive (start, end) pairs."""
-    out: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(mask) - 1))
-    return out
+    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = (np.flatnonzero(edges == -1) - 1).tolist()
+    return list(zip(starts, ends))
 
 
 def _exempt_mask(p: Plan | None, rule: str, n_frames: int) -> np.ndarray:
@@ -154,12 +139,18 @@ def _exempt_mask(p: Plan | None, rule: str, n_frames: int) -> np.ndarray:
     return mask
 
 
+def _ms_frames(ms: float, fps: float) -> float:
+    """ms milliseconds in frames at fps, capped so a rate near the float limit
+    still rounds to an int (the cap exceeds any clip length)."""
+    return min(ms * fps / 1000.0, float(sys.maxsize))
+
+
 def _frames_for_min_ms(ms: float, fps: float) -> int:
-    return max(1, math.ceil(ms * fps / 1000.0 - 1e-9))
+    return max(1, math.ceil(_ms_frames(ms, fps) - 1e-9))
 
 
 def _frames_for_max_ms(ms: float, fps: float) -> int:
-    return max(1, math.floor(ms * fps / 1000.0 + 1e-9))
+    return max(1, math.floor(_ms_frames(ms, fps) + 1e-9))
 
 
 def _physiology(
@@ -283,7 +274,7 @@ def _physiology(
     # gaze_main_sequence: per-frame speed cap, and excursions must move
     limit = rules.velocity_limit(fps)
     exempt_gaze = _exempt_mask(p, "gaze_main_sequence", n)
-    for name in ("gaze_left", "gaze_right", "gaze_up", "gaze_down"):
+    for name in GAZE_NAMES:
         g = v[:, channel_index(name)]
         if n > 1:
             deltas = np.abs(np.diff(g))
@@ -333,10 +324,10 @@ def _physiology(
 
     # gaze_head_coordination: sustained strong gaze needs a head deflection
     # (strictly longer than sustain_ms)
-    sustain_frames = math.floor(rules.sustain_ms * fps / 1000.0 + 1e-9) + 1
+    sustain_frames = math.floor(_ms_frames(rules.sustain_ms, fps) + 1e-9) + 1
     window = _frames_for_min_ms(rules.coordination_window_ms, fps)
     exempt_coord = _exempt_mask(p, "gaze_head_coordination", n)
-    for name, (head_name, sign) in _GAZE_HEAD.items():
+    for name, head_name, sign in DIRECTIONS.values():
         g = v[:, channel_index(name)]
         h = v[:, channel_index(head_name)]
         for a, b in _runs(g > rules.closure_threshold):
@@ -420,7 +411,7 @@ def check_semantic(
         for name, (lo, hi) in ev.channel_targets.items():
             j = channel_index(name)
             track = v[a : b + 1, j]
-            if name in ("yaw", "pitch", "roll"):
+            if name in HEAD_NAMES:
                 tol = rules.head_target_tolerance_deg
                 near = (track >= lo - tol) & (track <= hi + tol)
                 if not near.any():
@@ -450,9 +441,9 @@ def check_semantic(
     intent = parse_instructions(instructions)
     floor = rules.instruction_presence_min
     for d in intent.gaze:
-        name = f"gaze_{d}"
+        name = DIRECTIONS[d][0]
         peak = float(v[:, channel_index(name)].max())
-        opp_peak = float(v[:, channel_index(_GAZE_OPPOSITE[name])].max())
+        opp_peak = float(v[:, channel_index(opposing_gaze(name))].max())
         if peak < floor:
             out.append(
                 Violation(
@@ -470,8 +461,7 @@ def check_semantic(
                 )
             )
     for d in intent.head:
-        head_name = "yaw" if d in ("left", "right") else "pitch"
-        sign = {"left": -1.0, "right": 1.0, "up": 1.0, "down": -1.0}[d]
+        _, head_name, sign = DIRECTIONS[d]
         deflect = sign * v[:, channel_index(head_name)]
         if deflect.max() < rules.head_deflection_deg:
             out.append(
@@ -587,9 +577,10 @@ def _apply_one(v: np.ndarray, s: EditSuggestion, rules: RuleSet, fps: float) -> 
         fi = channel_index(first)
         si = channel_index(second)
         cap = rules.coactivation_limit - 0.05
-        for t in range(a, b + 1):
-            weak = fi if v[t, fi] <= v[t, si] else si
-            v[t, weak] = min(v[t, weak], cap)
+        fa, sa = v[a : b + 1, fi].copy(), v[a : b + 1, si].copy()
+        first_weak = fa <= sa
+        v[a : b + 1, fi] = np.where(first_weak, np.minimum(fa, cap), fa)
+        v[a : b + 1, si] = np.where(first_weak, sa, np.minimum(sa, cap))
     elif s.kind == "slew_limit":
         j = channel_index(s.channel)
         limit = rules.velocity_limit(fps)

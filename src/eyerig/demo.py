@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (
-    AU_SLICE,
-    ControlSequence,
-    DEFAULT_HEAD_RANGES,
-    GAZE_SLICE,
-    HEAD_NAMES,
-    channel_index,
-)
+from .channels import CHANNEL_RANGES, ControlSequence, channel_index
 from .library import PrototypeLibrary, build_library
 from .mapper import default_model, map_sequence
 from .planner import CATEGORIES, plan as build_plan
@@ -72,12 +65,7 @@ def demo_records(fps: float = 25.0):
             for name, (lo, hi) in ev.channel_targets.items():
                 mid = (lo + hi) / 2.0
                 track = env * (mid / env_mean)
-                j = channel_index(name)
-                if name in HEAD_NAMES:
-                    lo_deg, hi_deg = DEFAULT_HEAD_RANGES[name]
-                    values[:, j] = np.clip(track, lo_deg, hi_deg)
-                else:
-                    values[:, j] = np.clip(track, 0.0, 1.0)
+                values[:, channel_index(name)] = np.clip(track, *CHANNEL_RANGES[name])
             controls = ControlSequence(values, fps)
             _, points3d = map_sequence(controls, model)
             yield label, controls, points3d

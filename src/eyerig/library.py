@@ -1,10 +1,9 @@
 """Prototype store: retrieval over the per-prototype channel means that the library
-computes (`Prototype.summary` is computed on first access), and control inversion."""
+computes, and control inversion."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -12,16 +11,13 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .channels import (
-    DEFAULT_HEAD_RANGES,
+    CHANNEL_RANGES,
     GAZE_NAMES,
     HEAD_NAMES,
-    HEAD_SLICE,
     N_AU,
     N_CHANNELS,
     N_GAZE,
-    ChannelSummary,
     ControlSequence,
-    channel_summary,
 )
 from .mapper import (
     GAZE_POINT_INDICES,
@@ -59,11 +55,9 @@ DEFAULT_QUERY_WEIGHTS.setflags(write=False)
 
 # Head channels enter the distance normalized by their range half-width so a
 # degree does not swamp an intensity unit.
-_HEAD_HALF_WIDTH = np.array(
-    [(hi - lo) / 2.0 for lo, hi in (DEFAULT_HEAD_RANGES[n] for n in HEAD_NAMES)]
+_CHANNEL_NORM = np.array(
+    [(hi - lo) / 2.0 if name in HEAD_NAMES else 1.0 for name, (lo, hi) in CHANNEL_RANGES.items()]
 )
-_CHANNEL_NORM = np.ones(N_CHANNELS)
-_CHANNEL_NORM[HEAD_SLICE] = _HEAD_HALF_WIDTH
 _CHANNEL_NORM.setflags(write=False)
 
 
@@ -108,10 +102,6 @@ class Prototype:
                 f"prototype '{self.label}': controls ({len(self.controls)} frames) and "
                 f"keypoints ({len(self.keypoints)} frames) disagree"
             )
-
-    @cached_property
-    def summary(self) -> ChannelSummary:
-        return channel_summary(self.controls)
 
 
 @dataclass(frozen=True)
@@ -164,7 +154,7 @@ def query(
     label_filter: str | None = None,
     k: int = 1,
 ) -> list[QueryResult]:
-    """Top-k prototypes by weighted L1 distance between target and summary means.
+    """Top-k prototypes by weighted L1 distance between target and channel means.
 
     Distance is sum_j w_j |q_j - mean_j| with head channels normalized by
     their range half-width.  Ties break toward the lower prototype id.

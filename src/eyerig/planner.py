@@ -2,19 +2,20 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .channels import (
     AU_NAMES,
-    CHANNEL_NAMES,
-    DEFAULT_HEAD_RANGES,
-    GAZE_NAMES,
+    CHANNEL_RANGES,
+    DIRECTIONS,
     HEAD_NAMES,
     ValidationReport,
     Violation,
-    channel_index,
+    opposing_gaze,
 )
 
 __all__ = [
@@ -237,13 +238,14 @@ _TEMPLATES: dict[str, tuple[tuple[float, str, dict[str, tuple[float, float]], tu
 
 CATEGORIES: tuple[str, ...] = tuple(_TEMPLATES)
 
-_GAZE_OPPOSITE = {"left": "right", "right": "left", "up": "down", "down": "up"}
+# Targets an instruction adds when no event already moves that way; the head
+# interval is for the direction's head channel (see DIRECTIONS).
 _GAZE_ADD = (0.15, 0.30)
 _HEAD_ADD = {
-    "left": ("yaw", (-20.0, -8.0)),
-    "right": ("yaw", (8.0, 20.0)),
-    "up": ("pitch", (5.0, 12.0)),
-    "down": ("pitch", (-12.0, -5.0)),
+    "left": (-20.0, -8.0),
+    "right": (8.0, 20.0),
+    "up": (5.0, 12.0),
+    "down": (-12.0, -5.0),
 }
 
 
@@ -293,7 +295,6 @@ class InstructionIntent:
         return not (self.gaze or self.head or self.brow or self.blink or self.wink)
 
 
-_DIRECTIONS = ("left", "right", "up", "down")
 _BROW_WORDS = ("eyebrow", "eyebrows", "brow", "brows")
 _RAISE_WORDS = ("raise", "raises", "raised", "lift", "lifts", "flash")
 _LOWER_WORDS = ("lower", "lowers", "lowered", "drop", "drops")
@@ -327,7 +328,7 @@ def parse_instructions(text: str) -> InstructionIntent:
                 claimed.add(i - 1)
 
     for i, tok in enumerate(tokens):
-        if tok in _DIRECTIONS:
+        if tok in DIRECTIONS:
             if i in claimed:
                 continue
             if i + 1 < len(tokens) and tokens[i + 1] in _BROW_WORDS:
@@ -393,12 +394,8 @@ def _relax_interval(
     lo, hi = interval
     mid = (lo + hi) / 2.0
     half = (hi - lo) / 2.0 * (1.0 + amount) + 0.01 * amount
-    lo2, hi2 = mid - half, mid + half
-    if name in DEFAULT_HEAD_RANGES:
-        lim_lo, lim_hi = DEFAULT_HEAD_RANGES[name]
-    else:
-        lim_lo, lim_hi = 0.0, 1.0
-    return (max(lo2, lim_lo), min(hi2, lim_hi))
+    lim_lo, lim_hi = CHANNEL_RANGES[name]
+    return (max(mid - half, lim_lo), min(mid + half, lim_hi))
 
 
 def _apply_intent(
@@ -410,15 +407,15 @@ def _apply_intent(
     action = min(1, len(events) - 1)
     last = len(events) - 1
     for d in intent.gaze:
-        chan = f"gaze_{d}"
-        opp = f"gaze_{_GAZE_OPPOSITE[d]}"
+        chan = DIRECTIONS[d][0]
+        opp = opposing_gaze(chan)
         for ev in events:
             ev["targets"].pop(opp, None)
         if not any(ev["targets"].get(chan, (0.0, 0.0))[0] > 0.0 for ev in events):
             events[action]["targets"][chan] = _GAZE_ADD
     for d in intent.head:
-        chan, interval = _HEAD_ADD[d]
-        sign = 1.0 if interval[0] > 0 else -1.0
+        _, chan, sign = DIRECTIONS[d]
+        interval = _HEAD_ADD[d]
         for ev in events:
             cur = ev["targets"].get(chan)
             if cur is not None and (cur[0] * sign < 0 or cur[1] * sign < 0):
@@ -483,7 +480,7 @@ def plan(
     if len(pose) != 3:
         raise ValueError("initial_pose must be (yaw, pitch, roll)")
     for name, v in zip(HEAD_NAMES, pose):
-        lo, hi = DEFAULT_HEAD_RANGES[name]
+        lo, hi = CHANNEL_RANGES[name]
         if not (lo <= v <= hi):
             raise ValueError(f"initial_pose {name}={v:g} outside [{lo:g}, {hi:g}]")
 
@@ -531,7 +528,7 @@ def plan(
     # first event must be able to hold the pinned initial pose
     first = raw_events[0]
     for name, v in zip(HEAD_NAMES, pose):
-        lim_lo, lim_hi = DEFAULT_HEAD_RANGES[name]
+        lim_lo, lim_hi = CHANNEL_RANGES[name]
         cur = first["targets"].get(name)
         if cur is None:
             first["targets"][name] = (max(v - 2.0, lim_lo), min(v + 2.0, lim_hi))
@@ -549,6 +546,34 @@ def plan(
         for ev in raw_events
     )
     return Plan(label=label, events=events, total_frames=total_frames, fps=float(fps))
+
+
+def _target_problems(name: str, interval, shorthand: bool = False) -> list[str]:
+    """What is wrong with a target interval for channel `name`; empty if nothing.
+
+    The one target-interval rule, checked in this order: a known channel
+    (bilateral shorthand such as AU2 only when `shorthand`), a [lo, hi] pair
+    of numbers, lo <= hi, and both bounds inside the channel's CHANNEL_RANGES
+    entry.  An unknown channel or a malformed pair ends the checks.  The range
+    check is written as not-inside, so a NaN bound fails it.
+    """
+    channel = _BILATERAL[name][0] if shorthand and name in _BILATERAL else name
+    if channel not in CHANNEL_RANGES:
+        return ["unknown channel"]
+    if (
+        not isinstance(interval, (list, tuple))
+        or len(interval) != 2
+        or not all(isinstance(x, Real) for x in interval)
+    ):
+        return [f"must be a [lo, hi] pair of numbers, got {interval!r}"]
+    lo, hi = float(interval[0]), float(interval[1])
+    lim_lo, lim_hi = CHANNEL_RANGES[channel]
+    problems = []
+    if lo > hi:
+        problems.append(f"lo {lo:g} > hi {hi:g}")
+    if not (lim_lo <= lo and hi <= lim_hi):
+        problems.append(f"[{lo:g}, {hi:g}] outside legal [{lim_lo:g}, {lim_hi:g}]")
+    return problems
 
 
 def validate_plan(p: Plan) -> ValidationReport:
@@ -609,30 +634,10 @@ def validate_plan(p: Plan) -> ValidationReport:
                 )
         prev_end = ev.end_frame
         for name, interval in ev.channel_targets.items():
-            if name not in CHANNEL_NAMES:
-                report.violations.append(
-                    Violation("plan_target_range", name, f"events[{k}] targets unknown channel {name!r}")
-                )
-                continue
-            lo, hi = interval
-            if lo > hi:
+            for problem in _target_problems(name, interval):
                 report.violations.append(
                     Violation(
-                        "plan_target_range",
-                        name,
-                        f"events[{k}] target for {name} has lo {lo:g} > hi {hi:g}",
-                    )
-                )
-            lim_lo, lim_hi = (
-                DEFAULT_HEAD_RANGES[name] if name in DEFAULT_HEAD_RANGES else (0.0, 1.0)
-            )
-            if lo < lim_lo or hi > lim_hi:
-                report.violations.append(
-                    Violation(
-                        "plan_target_range",
-                        name,
-                        f"events[{k}] target [{lo:g}, {hi:g}] for {name} outside "
-                        f"[{lim_lo:g}, {lim_hi:g}]",
+                        "plan_target_range", name, f"events[{k}].channel_targets.{name}: {problem}"
                     )
                 )
     return report
@@ -675,10 +680,16 @@ def load_template_table(path) -> dict[str, tuple]:
     Format: {"version": 1, "categories": {label: [stage, ...]}} where each
     stage is {"ratio": num, "semantics": str, "targets": {channel: [lo, hi]},
     "exemptions": [rule, ...]}.  Channel names may use the bilateral
-    shorthand (AU2, AU4, AU5, AU43).  Per category, ratios must be positive
-    and sum to 1.  The result drops into plan(..., templates=...); note that
-    label_signature critiques still derive from the built-in table, so custom
-    labels skip them.
+    shorthand (AU2, AU4, AU5, AU43).  Each target passes the same interval
+    rule as validate_plan: lo <= hi, both bounds inside the channel's legal
+    range (degrees for head channels), and no NaN bound.  Per category,
+    ratios must be positive and sum to 1.  Errors name the offending field,
+    e.g. categories['x'][0].targets['AU2'].
+
+    The result drops into plan(..., templates=...).  label_signature critiques
+    still derive from the built-in table: a custom label skips them, and a
+    custom label that reuses a built-in name is judged by the built-in
+    signature.
     """
     with open(path) as fh:
         try:
@@ -713,27 +724,10 @@ def load_template_table(path) -> dict[str, tuple]:
                 _table_fail(sctx, "targets must be an object")
             targets: dict[str, tuple[float, float]] = {}
             for name, interval in raw_targets.items():
-                tctx = f"{sctx}.targets[{name!r}]"
-                if name not in CHANNEL_NAMES and name not in _BILATERAL:
-                    _table_fail(tctx, "unknown channel")
-                if (
-                    not isinstance(interval, list)
-                    or len(interval) != 2
-                    or not all(isinstance(x, (int, float)) for x in interval)
-                ):
-                    _table_fail(tctx, f"interval must be [lo, hi], got {interval!r}")
-                lo, hi = float(interval[0]), float(interval[1])
-                if lo > hi:
-                    _table_fail(tctx, f"lo {lo:g} > hi {hi:g}")
-                if name in HEAD_NAMES:
-                    rlo, rhi = DEFAULT_HEAD_RANGES[name]
-                else:
-                    rlo, rhi = 0.0, 1.0
-                if lo < rlo or hi > rhi:
-                    _table_fail(
-                        tctx, f"[{lo:g}, {hi:g}] outside legal [{rlo:g}, {rhi:g}]"
-                    )
-                targets[name] = (lo, hi)
+                problems = _target_problems(name, interval, shorthand=True)
+                if problems:
+                    _table_fail(f"{sctx}.targets[{name!r}]", problems[0])
+                targets[name] = (float(interval[0]), float(interval[1]))
             exempt = st.get("exemptions", [])
             if not isinstance(exempt, list) or not all(
                 isinstance(e, str) for e in exempt
@@ -810,8 +804,8 @@ def decode_agent_plan(text: str) -> Plan:
     if not isinstance(label, str) or not label:
         raise _fail("label", "must be a non-empty string")
     fps = payload.get("fps")
-    if not isinstance(fps, (int, float)) or not fps > 0:
-        raise _fail("fps", "must be a positive number")
+    if not isinstance(fps, (int, float)) or not (fps > 0 and math.isfinite(fps)):
+        raise _fail("fps", "must be a finite positive number")
     total = payload.get("total_frames")
     if not isinstance(total, int) or total < 1:
         raise _fail("total_frames", "must be a positive integer")
@@ -843,24 +837,10 @@ def decode_agent_plan(text: str) -> Plan:
             raise _fail(f"{path}.channel_targets", "must be an object")
         targets: dict[str, tuple[float, float]] = {}
         for name, interval in targets_raw.items():
-            tpath = f"{path}.channel_targets.{name}"
-            if name not in CHANNEL_NAMES:
-                raise _fail(tpath, "unknown channel")
-            if (
-                not isinstance(interval, (list, tuple))
-                or len(interval) != 2
-                or not all(isinstance(v, (int, float)) for v in interval)
-            ):
-                raise _fail(tpath, "must be a [lo, hi] pair of numbers")
-            lo, hi = float(interval[0]), float(interval[1])
-            if lo > hi:
-                raise _fail(tpath, f"lo {lo:g} > hi {hi:g}")
-            lim_lo, lim_hi = (
-                DEFAULT_HEAD_RANGES[name] if name in DEFAULT_HEAD_RANGES else (0.0, 1.0)
-            )
-            if lo < lim_lo or hi > lim_hi:
-                raise _fail(tpath, f"[{lo:g}, {hi:g}] outside [{lim_lo:g}, {lim_hi:g}]")
-            targets[name] = (lo, hi)
+            problems = _target_problems(name, interval)
+            if problems:
+                raise _fail(f"{path}.channel_targets.{name}", problems[0])
+            targets[name] = (float(interval[0]), float(interval[1]))
         exempt_raw = ev.get("exemptions", [])
         if not isinstance(exempt_raw, list) or not all(isinstance(x, str) for x in exempt_raw):
             raise _fail(f"{path}.exemptions", "must be a list of rule ids")

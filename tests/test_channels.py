@@ -6,15 +6,18 @@ from eyerig.channels import (
     AU_NAMES,
     AU_SLICE,
     CHANNEL_NAMES,
+    CHANNEL_RANGES,
+    DIRECTIONS,
     GAZE_SLICE,
+    HEAD_NAMES,
     N_CHANNELS,
     ControlSequence,
     ControlState,
     channel_index,
-    channel_summary,
     enforce_state_invariants,
     load_controls_csv,
     mirror_control_vector,
+    opposing_gaze,
     resample_sequence,
     save_controls_csv,
     validate_control_state,
@@ -79,24 +82,23 @@ def test_validate_sequence_reports_frame_numbers():
     report = validate_sequence(ControlSequence(values, 25.0))
     assert [v.frame for v in report.violations] == [2]
 
-    # every rule, several frames, custom head ranges: the exact list, in order
+    # every rule, several frames, head angles in degrees: the exact list, in order
     values = np.zeros((6, N_CHANNELS))
-    values[1] = vec(AU43_R=1.5, gaze_down=-0.25, yaw=12.5, gaze_left=0.3, gaze_right=0.2)
+    values[1] = vec(AU43_R=1.5, gaze_down=-0.25, yaw=92.5, gaze_left=0.3, gaze_right=0.2)
     values[2] = vec(AU5_L=0.75, AU43_L=0.6, AU5_R=0.9, AU43_R=0.9)
-    values[4] = vec(AU1=-0.1, gaze_up=0.5, gaze_down=0.125, pitch=-31.0, roll=7.0)
+    values[4] = vec(AU1=-0.1, gaze_up=0.5, gaze_down=0.125, pitch=-61.0, roll=7.0)
     values[5] = vec(gaze_right=1.25, AU5_R=0.51, AU43_R=0.52)
-    ranges = {"yaw": (-10.0, 10.0), "pitch": (-30, 30)}
-    report = validate_sequence(ControlSequence(values, 25.0), head_ranges=ranges)
+    report = validate_sequence(ControlSequence(values, 25.0))
     assert [(v.rule, v.channel, v.message, v.frame) for v in report.violations] == [
         ("au_range", "AU43_R", "AU43_R=1.5 outside [0, 1]", 2),
         ("gaze_range", "gaze_down", "gaze_down=-0.25 outside [0, 1]", 2),
-        ("head_range", "yaw", "yaw=12.5 outside [-10, 10] deg", 2),
+        ("head_range", "yaw", "yaw=92.5 outside [-90, 90] deg", 2),
         ("gaze_opposition", "gaze_left",
          "opposing gaze channels gaze_left=0.3 and gaze_right=0.2 both active", 2),
         ("lid_conflict", "AU5_L", "AU5_L=0.75 and AU43_L=0.6 both exceed 0.5", 3),
         ("lid_conflict", "AU5_R", "AU5_R=0.9 and AU43_R=0.9 both exceed 0.5", 3),
         ("au_range", "AU1", "AU1=-0.1 outside [0, 1]", 5),
-        ("head_range", "pitch", "pitch=-31 outside [-30, 30] deg", 5),
+        ("head_range", "pitch", "pitch=-61 outside [-60, 60] deg", 5),
         ("gaze_opposition", "gaze_up",
          "opposing gaze channels gaze_up=0.5 and gaze_down=0.125 both active", 5),
         ("gaze_range", "gaze_right", "gaze_right=1.25 outside [0, 1]", 6),
@@ -109,6 +111,7 @@ def test_validate_sequence_reports_frame_numbers():
     assert str(exc.value) == (
         "frame 2: invalid control state: AU43_R=1.5 outside [0, 1]; "
         "gaze_down=-0.25 outside [0, 1]; "
+        "yaw=92.5 outside [-90, 90] deg; "
         "opposing gaze channels gaze_left=0.3 and gaze_right=0.2 both active"
     )
 
@@ -129,20 +132,25 @@ def test_sequence_values_immutable():
         seq.values[0, 0] = 1.0
 
 
-def test_summary_constant_channel():
-    values = np.zeros((10, N_CHANNELS))
-    values[:, channel_index("AU1")] = 0.4
-    s = channel_summary(ControlSequence(values, 25.0))
-    j = channel_index("AU1")
-    assert s.mean[j] == pytest.approx(0.4)
-    assert s.max[j] == 0.4 and s.min[j] == 0.4
-
-
-def test_summary_ordering_random():
-    rng = np.random.default_rng(3)
-    seq = ControlSequence(rng.uniform(0, 1, (40, N_CHANNELS)), 25.0)
-    s = channel_summary(seq)
-    assert np.all(s.min <= s.mean) and np.all(s.mean <= s.max)
+def test_range_and_direction_tables():
+    assert tuple(CHANNEL_RANGES) == CHANNEL_NAMES
+    assert CHANNEL_RANGES["pitch"] == (-60.0, 60.0) and CHANNEL_RANGES["AU1"] == (0.0, 1.0)
+    assert tuple(DIRECTIONS) == ("left", "right", "up", "down")
+    for gaze, head, sign in DIRECTIONS.values():
+        assert head in HEAD_NAMES
+        # the opposite gaze channel is the direction with the opposite head move
+        opposite = {g: (h, s) for g, h, s in DIRECTIONS.values()}[opposing_gaze(gaze)]
+        assert opposite == (head, -sign)
+    # projection clamps every channel to its table range
+    raw = np.full((2, N_CHANNELS), -1e3)
+    raw[1] = 1e3
+    for name in ("gaze_right", "gaze_down", "AU43_L", "AU43_R"):  # keep the pair rules quiet
+        raw[1, channel_index(name)] = 0.0
+    clamped = enforce_state_invariants(raw)
+    assert clamped[0].tolist() == [lo for lo, _ in CHANNEL_RANGES.values()]
+    assert clamped[1].tolist() == [
+        0.0 if raw[1, j] == 0.0 else hi for j, (_, hi) in enumerate(CHANNEL_RANGES.values())
+    ]
 
 
 def test_resample_linear_ramp():

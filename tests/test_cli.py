@@ -56,6 +56,27 @@ class TestCompile:
         assert "--duration-seconds" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fps, config", [("inf", None), ("-inf", None), (None, "1e999")])
+    def test_non_finite_fps_is_refused(self, tmp_path, capsys, fps, config):
+        if config is None:
+            head = [f"--fps={fps}"]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text('{"fps": %s}\n' % config)  # 1e999 parses as inf
+            head = ["--config", path]
+        out = tmp_path / "out"
+        code = run(*head, "compile", "--label", "fear", "--frames", "50", "--out-dir", out)
+        assert code == 1
+        assert "fps must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_finite_fps_compiles(self, tmp_path):
+        # ms-to-frame conversions overflow a float at this rate
+        code = run("--fps", "1e308", "compile", "--label", "fear", "--frames", "50",
+                   "--out-dir", tmp_path)
+        assert code == 0
+        assert json.loads((tmp_path / "fear.audit.json").read_text())["fps"] == 1e308
+
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):
             assert run("--seed", "3", "compile", "--label", "fear", "--frames", "40",

@@ -6,6 +6,7 @@ from corpus import FPS, T, CorpusCase, build_corpus, _neutral_plan, _seq
 from eyerig.channels import ControlSequence, channel_index
 from eyerig.composer import compose
 from eyerig.critic import (
+    _runs,
     CriticReport,
     EditSuggestion,
     RuleSet,
@@ -216,6 +217,45 @@ class TestApplyEdits:
         from eyerig.channels import validate_sequence
 
         assert validate_sequence(fixed).ok
+
+
+def _runs_loop(mask):
+    out, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            out.append((start, i - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(mask) - 1))
+    return out
+
+
+def test_runs_match_loop_reference():
+    rng = np.random.default_rng(12)
+    masks = [np.zeros(0, bool), np.ones(9, bool), np.ones(1, bool), np.zeros(1, bool)]
+    masks += [rng.random(int(rng.integers(1, 60))) < rng.random() for _ in range(200)]
+    for mask in masks:
+        runs = _runs(mask)
+        assert runs == _runs_loop(mask)
+        assert all(type(i) is int for run in runs for i in run)
+
+
+def test_reduce_coactivation_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    values = rng.uniform(0.0, 1.0, (40, 17))
+    values[:, 14:] = 0.0
+    edit = EditSuggestion("reduce_coactivation", "au_coactivation", "AU4_L+AU2_L", 5, 33)
+    got = apply_edits(ControlSequence(values, FPS), [edit]).values
+    want = values.copy()
+    fi, si = channel_index("AU4_L"), channel_index("AU2_L")
+    for t in range(4, 33):
+        weak = fi if want[t, fi] <= want[t, si] else si
+        want[t, weak] = min(want[t, weak], RuleSet().coactivation_limit - 0.05)
+    from eyerig.channels import enforce_state_invariants
+
+    np.testing.assert_array_equal(got, enforce_state_invariants(want))
 
 
 def _ramp_library():

@@ -1,9 +1,11 @@
 """Plan construction, instruction parsing, and the agent-plan wire format."""
 import json
+import math
+import re
 
 import pytest
 
-from eyerig.channels import DEFAULT_HEAD_RANGES, HEAD_NAMES
+from eyerig.channels import CHANNEL_RANGES, HEAD_NAMES
 from eyerig.planner import (
     CATEGORIES,
     Plan,
@@ -120,7 +122,7 @@ def test_first_event_head_targets_contain_initial_pose():
     for name, value in zip(HEAD_NAMES, pose):
         lo, hi = first.channel_targets[name]
         assert lo <= value <= hi
-        lim_lo, lim_hi = DEFAULT_HEAD_RANGES[name]
+        lim_lo, lim_hi = CHANNEL_RANGES[name]
         assert lim_lo <= lo <= hi <= lim_hi
 
 
@@ -235,10 +237,7 @@ def test_relax_widens_every_interval():
         for name, (lo, hi) in ev_b.channel_targets.items():
             rlo, rhi = ev_r.channel_targets[name]
             assert rlo <= lo and rhi >= hi
-            if name in DEFAULT_HEAD_RANGES:
-                lim_lo, lim_hi = DEFAULT_HEAD_RANGES[name]
-            else:
-                lim_lo, lim_hi = 0.0, 1.0
+            lim_lo, lim_hi = CHANNEL_RANGES[name]
             assert lim_lo <= rlo <= rhi <= lim_hi
 
 
@@ -339,6 +338,12 @@ class TestDecodeAgentPlan:
         payload = self._payload()
         payload["fps"] = -1
         with pytest.raises(ValueError, match="fps"):
+            decode_agent_plan(json.dumps(payload))
+
+    def test_non_finite_fps(self):
+        payload = self._payload()
+        payload["fps"] = math.inf
+        with pytest.raises(ValueError, match="fps: must be a finite positive number"):
             decode_agent_plan(json.dumps(payload))
 
     def test_partition_gap_reported_with_path(self):
@@ -450,4 +455,59 @@ class TestTemplateTable:
         path = tmp_path / "table.json"
         path.write_text("{")
         with pytest.raises(ValueError, match="not valid JSON"):
+            load_template_table(path)
+
+
+# One target-interval rule behind validate_plan, decode_agent_plan and
+# load_template_table: (channel, interval, problem, accepted by templates).
+_NAN = math.nan
+INTERVAL_CASES = {
+    "nan_lo": ("AU1", [_NAN, 0.5], "outside legal", False),
+    "nan_hi": ("AU1", [0.1, _NAN], "outside legal", False),
+    "lo_above_hi": ("AU1", [0.8, 0.2], "lo 0.8 > hi 0.2", False),
+    "below_range": ("gaze_up", [-0.1, 0.2], "outside legal [0, 1]", False),
+    "above_range": ("AU43_L", [0.5, 1.2], "outside legal [0, 1]", False),
+    "head_outside_degrees": ("yaw", [-95.0, 5.0], "outside legal [-90, 90]", False),
+    "head_inside_degrees": ("pitch", [-60.0, 60.0], None, True),
+    "unknown_channel": ("AU99", [0.1, 0.2], "unknown channel", False),
+    "bilateral_shorthand": ("AU2", [0.1, 0.2], "unknown channel", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERVAL_CASES))
+def test_target_interval_rule(tmp_path, case):
+    name, interval, problem, template_ok = INTERVAL_CASES[case]
+
+    # validate_plan: a plan_target_range violation, or a clean report
+    p = Plan("anger", (StagedEvent(1, 20, "a", {name: tuple(interval)}),), 20, 25.0)
+    violations = validate_plan(p).violations
+    if problem is None:
+        assert violations == []
+    else:
+        assert [v.rule for v in violations] == ["plan_target_range"]
+        assert problem in violations[0].message
+
+    # decode_agent_plan: raises with the JSON path of the target
+    payload = json.loads(encode_plan(plan("anger", 20, 25.0)))
+    payload["events"][0]["channel_targets"][name] = interval
+    if problem is None:
+        decoded = decode_agent_plan(json.dumps(payload))
+        assert decoded.events[0].channel_targets[name] == tuple(interval)
+    else:
+        path = f"events[0].channel_targets.{name}: "
+        with pytest.raises(ValueError, match=re.escape(path) + ".*" + re.escape(problem)):
+            decode_agent_plan(json.dumps(payload))
+
+    # load_template_table: raises with the table context; shorthand is allowed
+    table = {
+        "version": 1,
+        "categories": {"calm": [{"ratio": 1.0, "semantics": "s", "targets": {name: interval}}]},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    if template_ok:
+        assert load_template_table(path)["calm"][0][2] == {name: tuple(interval)}
+    else:
+        context = f"template table categories['calm'][0].targets['{name}']: "
+        with pytest.raises(ValueError, match=re.escape(context) + ".*" + re.escape(problem)):
             load_template_table(path)
