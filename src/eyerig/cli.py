@@ -326,7 +326,6 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
                 pred,
                 ref,
                 args.label,
-                threshold=mcfg.activation_threshold,
                 channels=mcfg.channels_for(args.label),
             )
     else:

@@ -41,7 +41,11 @@ class PipelineConfig:
     sample_k: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.fps > 0 and math.isfinite(self.fps)):
+        try:
+            fps_ok = self.fps > 0 and math.isfinite(self.fps)
+        except OverflowError:  # an int literal beyond float range
+            fps_ok = False
+        if not fps_ok:
             raise ValueError(f"fps must be a finite positive number, got {self.fps!r}")
         if self.blend_frames < 0:
             raise ValueError(f"blend_frames must be >= 0, got {self.blend_frames}")

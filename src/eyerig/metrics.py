@@ -23,30 +23,52 @@ __all__ = [
 ]
 
 
-def dtw(a: Sequence[float], b: Sequence[float]) -> float:
-    """Dynamic time warping cost between two 1-D tracks.
+def _dtw_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """DTW costs of C track pairs at once: float64 X (C, n) against Y (C, m).
 
-    Cell cost |a_i - b_j|, moves right/down/diagonal, endpoints aligned.
+    Sweeps the anti-diagonals d = i + j in order; one numpy pass per diagonal
+    applies the cell rule acc[i, j] = |x_i - y_j| + min(min(up, left), diag)
+    to every cell and channel.  Only three diagonal buffers are kept, indexed
+    by i + 1 and padded with inf, so cells outside the grid never win a min
+    and row 0 and column 0 get the exact edge sums of the full-matrix
+    recurrence; y is read reversed so each diagonal's costs are one
+    contiguous slice.  O(n*m) time, O(C*n) memory, and bit-identical to
+    filling the (n, m) matrix cell by cell, since min of finite floats is
+    exact in any order.
+    """
+    if X.shape[1] == 0 or Y.shape[1] == 0:
+        raise ValueError("dtw tracks must be non-empty")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("dtw tracks must be finite")
+    C, n = X.shape
+    m = Y.shape[1]
+    Yr = np.ascontiguousarray(Y[:, ::-1])
+    prev2, prev1, cur = (np.full((C, n + 2), np.inf) for _ in range(3))
+    cur[:, 1] = np.abs(X[:, 0] - Y[:, 0])
+    for d in range(1, n + m - 1):
+        prev2, prev1, cur = prev1, cur, prev2
+        lo, hi = max(0, d - m + 1), min(n - 1, d) + 1
+        # cell i of this diagonal is (i, d - i), and y_(d - i) is Yr[m - 1 - d + i]
+        cost = np.abs(X[:, lo:hi] - Yr[:, m - 1 - d + lo:m - 1 - d + hi])
+        best = np.minimum(prev1[:, lo:hi], prev1[:, lo + 1:hi + 1])
+        np.minimum(best, prev2[:, lo:hi], out=best)
+        np.add(cost, best, out=cur[:, lo + 1:hi + 1])
+    return cur[:, n].copy()
+
+
+def dtw(a: Sequence[float], b: Sequence[float]) -> float:
+    """Dynamic time warping cost between two finite, non-empty 1-D tracks.
+
+    Cell cost |a_i - b_j|, moves right/down/diagonal, endpoints aligned.  The
+    one-row case of `_dtw_rows`: an anti-diagonal sweep, O(n*m) time and
+    O(n) memory, bit-identical to the cell-by-cell rule
+    acc[i, j] = |a_i - b_j| + min(acc[i-1, j], acc[i, j-1], acc[i-1, j-1]).
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("dtw expects 1-D tracks")
-    if x.size == 0 or y.size == 0:
-        raise ValueError("dtw tracks must be non-empty")
-    n, m = x.size, y.size
-    cost = np.abs(x[:, None] - y[None, :])
-    acc = np.full((n, m), np.inf)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, m):
-        acc[0, j] = cost[0, j] + acc[0, j - 1]
-    for i in range(1, n):
-        acc[i, 0] = cost[i, 0] + acc[i - 1, 0]
-        for j in range(1, m):
-            acc[i, j] = cost[i, j] + min(
-                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
-            )
-    return float(acc[n - 1, m - 1])
+    return float(_dtw_rows(x[None, :], y[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,16 @@ def _as_values(seq) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 17:
         raise ValueError(f"expected a (frames, 17) control array, got {arr.shape}")
     return arr
+
+
+def _au_columns(names: Sequence[str]) -> list[int]:
+    """Column indices of AU channel names; any other name is a ValueError."""
+    idx = []
+    for n in names:
+        if n not in AU_NAMES:
+            raise ValueError(f"{n!r} is not an AU channel")
+        idx.append(channel_index(n))
+    return idx
 
 
 def au_f1(
@@ -83,11 +115,7 @@ def au_f1(
         raise ValueError(
             f"sequences must have equal length, got {p.shape[0]} and {g.shape[0]}"
         )
-    names = tuple(channels) if channels is not None else AU_NAMES
-    idx = [channel_index(n) for n in names]
-    for n in names:
-        if n not in AU_NAMES:
-            raise ValueError(f"{n!r} is not an AU channel")
+    idx = _au_columns(channels if channels is not None else AU_NAMES)
     pa = p[:, idx] > threshold
     ga = g[:, idx] > threshold
     tp = float(np.sum(pa & ga))
@@ -109,22 +137,23 @@ def au_temp(
     pred,
     reference,
     label: str,
-    threshold: float = 0.1,
     channels: Sequence[str] | None = None,
 ) -> float:
     """Temporal agreement on a label's signature AUs, via per-channel warping.
 
     Score = 1 - mean_over_channels(dtw / reference_length), floored at 0.
     Channels default to the label's signature AU set; pass `channels` to
-    override.  Lengths may differ; warping absorbs tempo changes.
+    override (AU channels only).  Lengths may differ; warping absorbs tempo
+    changes.  All channels are warped in one `_dtw_rows` sweep.
     """
     p = _as_values(pred)
     g = _as_values(reference)
     names = tuple(channels) if channels is not None else signature_aus(label)
     if not names:
         raise ValueError(f"no AU channels to compare for label {label!r}")
+    idx = _au_columns(names)
     z = float(g.shape[0])
-    costs = [dtw(p[:, channel_index(n)], g[:, channel_index(n)]) for n in names]
+    costs = _dtw_rows(p[:, idx].T, g[:, idx].T)
     return max(0.0, 1.0 - float(np.mean(costs)) / z)
 
 

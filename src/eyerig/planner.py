@@ -548,6 +548,15 @@ def plan(
     return Plan(label=label, events=events, total_frames=total_frames, fps=float(fps))
 
 
+def _finite(x: float) -> bool:
+    """math.isfinite, except that an int beyond float range is not finite
+    (math.isfinite raises OverflowError for it)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _target_problems(name: str, interval, shorthand: bool = False) -> list[str]:
     """What is wrong with a target interval for channel `name`; empty if nothing.
 
@@ -566,7 +575,10 @@ def _target_problems(name: str, interval, shorthand: bool = False) -> list[str]:
         or not all(isinstance(x, Real) for x in interval)
     ):
         return [f"must be a [lo, hi] pair of numbers, got {interval!r}"]
-    lo, hi = float(interval[0]), float(interval[1])
+    try:
+        lo, hi = float(interval[0]), float(interval[1])
+    except OverflowError:  # an int literal beyond float range
+        return ["a bound is beyond float range"]
     lim_lo, lim_hi = CHANNEL_RANGES[channel]
     problems = []
     if lo > hi:
@@ -714,8 +726,8 @@ def load_template_table(path) -> dict[str, tuple]:
             if not isinstance(st, dict):
                 _table_fail(sctx, "stage must be an object")
             ratio = st.get("ratio")
-            if not isinstance(ratio, (int, float)) or not ratio > 0:
-                _table_fail(sctx, f"ratio must be a positive number, got {ratio!r}")
+            if not isinstance(ratio, (int, float)) or not (ratio > 0 and _finite(ratio)):
+                _table_fail(sctx, f"ratio must be a finite positive number, got {ratio!r}")
             semantics = st.get("semantics")
             if not isinstance(semantics, str) or not semantics:
                 _table_fail(sctx, "semantics must be a non-empty string")
@@ -804,7 +816,7 @@ def decode_agent_plan(text: str) -> Plan:
     if not isinstance(label, str) or not label:
         raise _fail("label", "must be a non-empty string")
     fps = payload.get("fps")
-    if not isinstance(fps, (int, float)) or not (fps > 0 and math.isfinite(fps)):
+    if not isinstance(fps, (int, float)) or not (fps > 0 and _finite(fps)):
         raise _fail("fps", "must be a finite positive number")
     total = payload.get("total_frames")
     if not isinstance(total, int) or total < 1:

@@ -70,6 +70,16 @@ class TestCompile:
         assert "fps must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_fps_beyond_float_range_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"fps": 1%s}\n' % ("0" * 400))
+        out = tmp_path / "out"
+        code = run("--config", path, "compile", "--label", "fear", "--frames", "50",
+                   "--out-dir", out)
+        assert code == 1
+        assert "fps must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_finite_fps_compiles(self, tmp_path):
         # ms-to-frame conversions overflow a float at this rate
         code = run("--fps", "1e308", "compile", "--label", "fear", "--frames", "50",
@@ -309,6 +319,23 @@ class TestGlobalFlags:
         assert code == 0
         audit = json.loads((out / "custom_nod.audit.json").read_text())
         assert audit["verdict"] == "pass"
+
+    def test_table_target_beyond_float_range_is_refused(self, tmp_path, capsys):
+        (tmp_path / "table.json").write_text(json.dumps({
+            "version": 1,
+            "categories": {"turn": [
+                {"ratio": 1.0, "semantics": "turn", "targets": {"yaw": [0, 10**400]}}
+            ]},
+        }))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"template_table_path": "table.json"}))
+        out = tmp_path / "out"
+        code = run("--config", cfg, "compile", "--label", "turn",
+                   "--frames", "30", "--out-dir", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "categories['turn'][0].targets['yaw']: a bound is beyond float range" in err
+        assert not out.exists()
 
     def test_builtin_label_hidden_under_table(self, tmp_path, capsys):
         (tmp_path / "table.json").write_text(json.dumps({

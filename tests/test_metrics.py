@@ -9,6 +9,7 @@ from eyerig.channels import ControlSequence, channel_index
 from eyerig.mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL, N_POINTS
 from eyerig.metrics import (
     MetricConfig,
+    _dtw_rows,
     au_f1,
     au_temp,
     dtw,
@@ -16,6 +17,36 @@ from eyerig.metrics import (
     load_metric_config,
 )
 from eyerig.planner import signature_aus
+
+
+def dtw_loop(a, b):
+    """The cell-by-cell recurrence over the full (n, m) matrix: the reference
+    the anti-diagonal kernel must equal bit for bit."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    n, m = x.size, y.size
+    cost = np.abs(x[:, None] - y[None, :])
+    acc = np.full((n, m), np.inf)
+    acc[0, 0] = cost[0, 0]
+    for j in range(1, m):
+        acc[0, j] = cost[0, j] + acc[0, j - 1]
+    for i in range(1, n):
+        acc[i, 0] = cost[i, 0] + acc[i - 1, 0]
+        for j in range(1, m):
+            acc[i, j] = cost[i, j] + min(
+                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
+            )
+    return float(acc[n - 1, m - 1])
+
+
+def _tracks(rng, C, n, m, zeros=0.4):
+    """Random (C, n) and (C, m) tracks with about `zeros` exact zeros, so
+    that equal costs and tied minima are common."""
+    X = rng.random((C, n))
+    Y = rng.random((C, m))
+    X[rng.random((C, n)) < zeros] = 0.0
+    Y[rng.random((C, m)) < zeros] = 0.0
+    return X, Y
 
 
 def dtw_brute(a, b):
@@ -72,10 +103,63 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             dtw([], [1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            _dtw_rows(np.zeros((2, 3)), np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dtw([0.0, bad], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            dtw([0.0], [1.0, bad, 0.5])
+        X = np.zeros((3, 4))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _dtw_rows(X, np.zeros((3, 2)))
 
     def test_2d_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             dtw(np.zeros((3, 2)), np.zeros(3))
+
+
+class TestDtwBitExact:
+    """The anti-diagonal kernel equals the cell-by-cell loop exactly."""
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(1, 1), (1, 7), (7, 1), (1, 40), (40, 1), (2, 3), (3, 2), (5, 31), (31, 5), (17, 17)],
+    )
+    def test_dtw_shapes(self, n, m):
+        rng = np.random.default_rng(100 + 41 * n + m)
+        for _ in range(5):
+            X, Y = _tracks(rng, 1, n, m)
+            assert dtw(X[0], Y[0]) == dtw_loop(X[0], Y[0])
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            C, n, m = rng.integers(1, 5), rng.integers(1, 40), rng.integers(1, 40)
+            X, Y = _tracks(rng, C, n, m)
+            want = np.array([dtw_loop(X[c], Y[c]) for c in range(C)])
+            assert np.array_equal(_dtw_rows(X, Y), want), (C, n, m)
+            assert dtw(X[0], Y[0]) == want[0]
+
+    def test_ties_on_a_coarse_grid(self):
+        # values on a 0.1 grid: many equal cell costs and equal path sums
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            C, n, m = rng.integers(1, 4), rng.integers(1, 25), rng.integers(1, 25)
+            X, Y = _tracks(rng, C, n, m, zeros=0.5)
+            X, Y = np.round(X, 1), np.round(Y, 1)
+            want = np.array([dtw_loop(X[c], Y[c]) for c in range(C)])
+            assert np.array_equal(_dtw_rows(X, Y), want), (C, n, m)
+
+    def test_500_by_500(self):
+        rng = np.random.default_rng(14)
+        X, Y = _tracks(rng, 2, 500, 500)
+        want = np.array([dtw_loop(X[c], Y[c]) for c in range(2)])
+        assert np.array_equal(_dtw_rows(X, Y), want)
+        assert dtw(X[1], Y[1]) == want[1]
 
 
 def _seq_with(active_cells, T=2):
@@ -181,6 +265,23 @@ class TestAuTemp:
     def test_channel_override(self):
         seq = self._track_seq("drowsiness", 0.5)
         assert au_temp(seq, seq, "drowsiness", channels=["AU1"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", ["yaw", "gaze_left", "nonsense"])
+    def test_non_au_channel_rejected(self, name):
+        seq = self._track_seq("drowsiness", 0.5)
+        with pytest.raises(ValueError, match="not an AU channel"):
+            au_temp(seq, seq, "drowsiness", channels=["AU1", name])
+
+    @pytest.mark.parametrize("label", ["drowsiness", "anger", "fear"])
+    def test_equals_per_channel_reference_mean(self, label):
+        rng = np.random.default_rng(sum(map(ord, label)))
+        pred = rng.random((43, 17))
+        ref = rng.random((37, 17))
+        pred[rng.random(pred.shape) < 0.4] = 0.0
+        names = signature_aus(label)
+        costs = [dtw_loop(pred[:, channel_index(n)], ref[:, channel_index(n)]) for n in names]
+        want = max(0.0, 1.0 - float(np.mean(costs)) / 37.0)
+        assert au_temp(pred, ref, label) == want
 
 
 def _kp_seq(offset_u=0.0, T=5):

@@ -346,6 +346,12 @@ class TestDecodeAgentPlan:
         with pytest.raises(ValueError, match="fps: must be a finite positive number"):
             decode_agent_plan(json.dumps(payload))
 
+    def test_fps_beyond_float_range(self):
+        payload = json.dumps(self._payload()).replace('"fps": 25.0', '"fps": 1' + "0" * 400)
+        assert "0" * 400 in payload
+        with pytest.raises(ValueError, match="fps: must be a finite positive number"):
+            decode_agent_plan(payload)
+
     def test_partition_gap_reported_with_path(self):
         payload = self._payload()
         payload["events"][1]["start_frame"] += 1
@@ -431,6 +437,12 @@ class TestTemplateTable:
         payload = self._valid()
         payload["categories"]["calm_focus"][0]["targets"] = {"AU99": [0.1, 0.2]}
         with pytest.raises(ValueError, match="unknown channel"):
+            load_template_table(self._write(tmp_path, payload))
+
+    def test_ratio_beyond_float_range(self, tmp_path):
+        payload = self._valid()
+        payload["categories"]["calm_focus"][0]["ratio"] = 10**400
+        with pytest.raises(ValueError, match=r"\['calm_focus'\]\[0\]: ratio must be a finite"):
             load_template_table(self._write(tmp_path, payload))
 
     def test_interval_outside_range(self, tmp_path):
