@@ -7,7 +7,6 @@ from .channels import (
     GAZE_NAMES,
     HEAD_NAMES,
     ControlSequence,
-    ControlState,
     ValidationReport,
     load_controls_csv,
     resample_sequence,
@@ -18,12 +17,9 @@ from .channels import (
 from .mapper import (
     KEYPOINT_LAYOUT,
     DeformationModel,
-    KeypointFrame,
     KeypointSequence,
-    KeypointSequence3D,
     default_model,
     load_keypoints_json,
-    map_frame,
     map_sequence,
     save_keypoints_json,
 )

@@ -5,7 +5,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "DIRECTIONS",
     "OPPOSING_GAZE_PAIRS",
     "LID_CONFLICT_PAIRS",
-    "ControlState",
     "ControlSequence",
     "Violation",
     "ValidationReport",
@@ -129,46 +128,6 @@ def opposing_gaze(name: str) -> str:
     raise KeyError(name)
 
 
-def _as_float_array(values: Iterable[float], n: int, what: str) -> np.ndarray:
-    arr = np.asarray(tuple(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
-
-
-@dataclass(frozen=True)
-class ControlState:
-    """One frame of the 17-channel control vector, split by channel family."""
-
-    au: np.ndarray
-    gaze: np.ndarray
-    head: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "au", _as_float_array(self.au, N_AU, "au"))
-        object.__setattr__(self, "gaze", _as_float_array(self.gaze, N_GAZE, "gaze"))
-        object.__setattr__(self, "head", _as_float_array(self.head, N_HEAD, "head"))
-        for arr in (self.au, self.gaze, self.head):
-            arr.setflags(write=False)
-
-    @classmethod
-    def zero(cls) -> "ControlState":
-        return cls(np.zeros(N_AU), np.zeros(N_GAZE), np.zeros(N_HEAD))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray | Sequence[float]) -> "ControlState":
-        v = _as_float_array(vec, N_CHANNELS, "control vector")
-        return cls(v[AU_SLICE], v[GAZE_SLICE], v[HEAD_SLICE])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.au, self.gaze, self.head])
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.as_vector()[channel_index(name)])
-
-
 @dataclass(frozen=True)
 class ControlSequence:
     """A fixed-rate sequence of control vectors, shape (frames, 17)."""
@@ -198,14 +157,8 @@ class ControlSequence:
     def duration_seconds(self) -> float:
         return len(self) / self.fps
 
-    def frame(self, index: int) -> ControlState:
-        return ControlState.from_vector(self.values[index])
-
     def channel(self, name: str) -> np.ndarray:
         return self.values[:, channel_index(name)]
-
-    def with_values(self, values: np.ndarray) -> "ControlSequence":
-        return ControlSequence(values, self.fps)
 
 
 @dataclass(frozen=True)
@@ -279,14 +232,22 @@ def _validate_rows(values: np.ndarray, frames: Sequence[int | None]) -> Validati
     return report
 
 
-def validate_control_state(state: ControlState, frame: int | None = None) -> ValidationReport:
-    """Check one frame against range and co-activation constraints.
+def validate_control_state(
+    vec: np.ndarray | Sequence[float], frame: int | None = None
+) -> ValidationReport:
+    """Check one (17,) control vector against range and co-activation constraints.
 
     Rules reported: au_range, gaze_range, head_range, gaze_opposition,
     lid_conflict.  The report lists every failure, not just the first.
-    This is `validate_sequence`'s check on a single frame.
+    This is `validate_sequence`'s check on a single frame; a vector of the
+    wrong shape or with non-finite values raises ValueError.
     """
-    return _validate_rows(state.as_vector()[None], [frame])
+    v = np.asarray(vec, dtype=np.float64)
+    if v.shape != (N_CHANNELS,):
+        raise ValueError(f"control vector must have shape ({N_CHANNELS},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("control vector contains non-finite values")
+    return _validate_rows(v[None], [frame])
 
 
 def validate_sequence(seq: ControlSequence) -> ValidationReport:

@@ -30,7 +30,6 @@ from .library import (
     save_library,
 )
 from .mapper import (
-    KeypointFrame,
     LEFT_BROW,
     LEFT_IRIS,
     LEFT_LOWER_LID,
@@ -159,12 +158,7 @@ def _cmd_build_lib(args, cfg: PipelineConfig) -> int:
     for kp_path in kp_files:
         stem = kp_path.name[: -len(".keypoints.json")]
         label = stem.split("__", 1)[0]
-        keypoints = load_keypoints_json(kp_path)
-        if keypoints.frames.shape[-1] != 3:
-            raise ValueError(
-                f"{kp_path.name}: library traces need 3-D keypoints "
-                "(re-export with map --three-d)"
-            )
+        keypoints = load_keypoints_json(kp_path, dims=3)
         controls_path = trace_dir / f"{stem}.controls.csv"
         if controls_path.exists():
             controls = load_controls_csv(controls_path)
@@ -233,6 +227,8 @@ def _cmd_compile(args, cfg: PipelineConfig) -> int:
         weights=cfg.query_weights,
         blend_frames=cfg.blend_frames,
         templates=table,
+        sample_k=cfg.sample_k,
+        seed=cfg.seed,
     )
     points2d, _ = map_sequence(result.sequence)
 
@@ -283,7 +279,7 @@ def _cmd_map(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_guidance(args, cfg: PipelineConfig) -> int:
-    seq = load_keypoints_json(args.keypoints)
+    seq = load_keypoints_json(args.keypoints, dims=2)
     if not 1 <= args.frame <= len(seq):
         raise _UsageError(f"--frame must be in [1, {len(seq)}], got {args.frame}")
     try:
@@ -291,8 +287,7 @@ def _cmd_guidance(args, cfg: PipelineConfig) -> int:
         grid = (int(h_txt), int(w_txt))
     except ValueError:
         raise _UsageError(f"--grid needs HxW, got {args.grid!r}") from None
-    frame = KeypointFrame(seq.frames[args.frame - 1, :, :2])
-    field = guidance_field(frame, grid_shape=grid, params=cfg.guidance)
+    field = guidance_field(seq.frames[args.frame - 1], grid_shape=grid, params=cfg.guidance)
     save_guidance_ogf1(field, args.out)
     steps, h, w = field.values.shape
     print(f"wrote {steps}-step {h}x{w} guidance field -> {args.out}")
@@ -329,10 +324,8 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
                 channels=mcfg.channels_for(args.label),
             )
     else:
-        pred = load_keypoints_json(args.pred)
-        ref = load_keypoints_json(args.ref)
-        if pred.frames.shape[-1] != 2 or ref.frames.shape[-1] != 2:
-            raise ValueError("eye_lmd expects 2-D keypoint files")
+        pred = load_keypoints_json(args.pred, dims=2)
+        ref = load_keypoints_json(args.ref, dims=2)
         report["eye_lmd"] = eye_lmd(pred, ref)
     _emit(report)
     return 0
@@ -373,15 +366,14 @@ def _cmd_preview(args, cfg: PipelineConfig) -> int:
         raise _UsageError(f"--every must be >= 1, got {args.every}")
     if args.size < 16:
         raise _UsageError(f"--size must be >= 16, got {args.size}")
-    seq = load_keypoints_json(args.keypoints)
-    pts_all = seq.frames[:, :, :2]
+    seq = load_keypoints_json(args.keypoints, dims=2)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     size = args.size
     picked = list(range(0, len(seq), args.every))
     bodies = []
     for t in picked:
-        body = _frame_svg_body(pts_all[t], size)
+        body = _frame_svg_body(seq.frames[t], size)
         bodies.append((t, body))
         svg = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '

@@ -35,7 +35,6 @@ class PipelineConfig:
     query_weights: tuple[float, ...] | None = None
     rules: RuleSet = field(default_factory=RuleSet)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    template_table_path: str | None = None
     template_table: dict | None = None
     seed: int | None = None
     sample_k: int = 1
@@ -126,7 +125,6 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             resolved = path.parent / resolved
         if not resolved.exists():
             raise ValueError(f"config {path}: template table {resolved} does not exist")
-        kwargs["template_table_path"] = str(resolved)
         kwargs["template_table"] = load_template_table(resolved)
     try:
         return PipelineConfig(**kwargs)

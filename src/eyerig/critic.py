@@ -629,6 +629,8 @@ def refine(
     weights: Sequence[float] | None = None,
     blend_frames: int = 3,
     templates=None,
+    sample_k: int = 1,
+    seed: int | None = None,
 ) -> RefineResult:
     """Critique-and-repair loop with explicit budgets.
 
@@ -638,7 +640,8 @@ def refine(
     the composition budget.  When budgets run out the last critique is
     returned with verdict "fail" and the full audit history attached.
     A custom planner template table (see load_template_table) flows through
-    `templates` into each re-plan.
+    `templates` into each re-plan, and `sample_k`/`seed` into each recompose,
+    as in `compose`.
     """
     rules = rules or RuleSet()
     current = seq
@@ -678,6 +681,8 @@ def refine(
                 weights=weights,
                 initial_pose=initial_pose,
                 blend_frames=blend_frames,
+                sample_k=sample_k,
+                seed=seed,
             )
             comp_rounds = 0
             continue

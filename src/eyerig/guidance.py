@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mapper import KeypointFrame, LEFT_IRIS, RIGHT_IRIS
+from .mapper import LEFT_IRIS, RIGHT_IRIS, _check_points
 
 __all__ = [
     "GuidanceParams",
@@ -139,20 +139,20 @@ def spatial_gain(
     return gain
 
 
-def eye_centers(frame: KeypointFrame) -> np.ndarray:
-    """Both iris centers in normalized image coordinates, shape (2, 2) as (u, v)."""
-    pts = frame.points
+def eye_centers(points: np.ndarray) -> np.ndarray:
+    """Both iris centers of one (62, 2) keypoint frame, shape (2, 2) as (u, v)."""
+    pts = _check_points(points, 2, "keypoint frame")
     left = pts[list(LEFT_IRIS)].mean(axis=0)
     right = pts[list(RIGHT_IRIS)].mean(axis=0)
     return np.stack([left, right])
 
 
 def guidance_field(
-    frame: KeypointFrame,
+    points: np.ndarray,
     grid_shape: tuple[int, int] = (64, 64),
     params: GuidanceParams | None = None,
 ) -> GuidanceField:
-    """Build the per-step weight grids for one keypoint frame.
+    """Build the per-step weight grids for one (62, 2) keypoint frame.
 
     Each step's grid blends the temporal weight over the eye regions with the
     background weight elsewhere: weight = w(t) * gain + omega_bg * (1 - gain).
@@ -161,7 +161,7 @@ def guidance_field(
     h, w = grid_shape
     if h < 1 or w < 1:
         raise ValueError(f"grid must be at least 1x1, got {grid_shape}")
-    centers_uv = eye_centers(frame)
+    centers_uv = eye_centers(points)
     # (u, v) -> (row, col) cell coordinates; integer coords hit cell centers
     centers_cells = np.stack(
         [centers_uv[:, 1] * h - 0.5, centers_uv[:, 0] * w - 0.5], axis=1

@@ -24,7 +24,7 @@ from .mapper import (
     MIRROR_PERMUTATION,
     N_POINTS,
     DeformationModel,
-    KeypointSequence3D,
+    KeypointSequence,
     _write_json_streamed,
     default_model,
     euler_from_rotation,
@@ -92,11 +92,14 @@ class Prototype:
 
     label: str
     controls: ControlSequence
-    keypoints: KeypointSequence3D
+    keypoints: KeypointSequence
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("prototype label must be non-empty")
+        dims = self.keypoints.frames.shape[-1]
+        if dims != 3:
+            raise ValueError(f"prototype '{self.label}': keypoints must be 3-D, got {dims}-D")
         if len(self.controls) != len(self.keypoints):
             raise ValueError(
                 f"prototype '{self.label}': controls ({len(self.controls)} frames) and "
@@ -137,7 +140,7 @@ class QueryResult:
     label: str
 
 
-def build_library(records: Iterable[tuple[str, ControlSequence, KeypointSequence3D]]) -> PrototypeLibrary:
+def build_library(records: Iterable[tuple[str, ControlSequence, KeypointSequence]]) -> PrototypeLibrary:
     """Assemble prototypes from (label, controls, keypoints) records.
 
     Per-prototype length agreement is checked by the Prototype constructor;
@@ -231,11 +234,14 @@ def load_library(path: str | Path) -> PrototypeLibrary:
             label = entry["label"]
             fps = float(entry["fps"])
             controls = ControlSequence(np.asarray(entry["controls"], dtype=np.float64), fps)
-            keypoints = KeypointSequence3D(np.asarray(entry["keypoints"], dtype=np.float64), fps)
+            keypoints = KeypointSequence(np.asarray(entry["keypoints"], dtype=np.float64), fps)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed library file {path}: prototypes[{i}]: {exc}") from exc
         records.append((label, controls, keypoints))
-    return build_library(records)
+    try:
+        return build_library(records)
+    except ValueError as exc:
+        raise ValueError(f"malformed library file {path}: {exc}") from exc
 
 
 def _kabsch(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -277,7 +283,7 @@ _SHAPE_IDS = np.asarray(
 
 
 def invert_controls(
-    keypoints: KeypointSequence3D,
+    keypoints: KeypointSequence,
     baseline: NeutralBaseline,
     model: DeformationModel | None = None,
     max_iter: int = 200,

@@ -17,9 +17,7 @@ from .channels import (
     N_AU,
     N_GAZE,
     ControlSequence,
-    ControlState,
     channel_index,
-    validate_control_state,
     validate_sequence,
 )
 
@@ -38,15 +36,11 @@ __all__ = [
     "RIGHT_BROW",
     "GAZE_POINT_INDICES",
     "MIRROR_PERMUTATION",
-    "KeypointFrame",
     "KeypointSequence",
-    "KeypointSequence3D",
     "DeformationModel",
     "default_model",
     "rotation_matrix",
     "euler_from_rotation",
-    "deform",
-    "map_frame",
     "map_sequence",
     "mirror_points",
     "save_keypoints_json",
@@ -105,63 +99,33 @@ def mirror_points(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_points(points: np.ndarray, dims: int, what: str) -> np.ndarray:
+def _check_points(points: np.ndarray, dims: int, what: str, ndim: int = 2) -> np.ndarray:
+    """Float64 `points`, checked finite and shaped (62, dims), or (T, 62, dims) when ndim is 3."""
     arr = np.asarray(points, dtype=np.float64)
-    if arr.shape[-2:] != (N_POINTS, dims):
-        raise ValueError(f"{what} must have shape (..., {N_POINTS}, {dims}), got {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-2:] != (N_POINTS, dims):
+        lead = "T, " * (ndim - 2)
+        raise ValueError(f"{what} must have shape ({lead}{N_POINTS}, {dims}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
 
 @dataclass(frozen=True)
-class KeypointFrame:
-    """One frame of 62 projected 2-D points in normalized image coordinates."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _check_points(self.points, 2, "keypoint frame").copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
-
-
-@dataclass(frozen=True)
 class KeypointSequence:
-    """Projected 2-D keypoints over time, shape (T, 62, 2)."""
+    """Keypoints over time: (T, 62, 2) projected, or (T, 62, 3) rotated before projection."""
 
     frames: np.ndarray
     fps: float
 
     def __post_init__(self) -> None:
-        arr = _check_points(self.frames, 2, "keypoint sequence")
-        if arr.ndim != 3 or arr.shape[0] < 1:
-            raise ValueError(f"keypoint sequence must have shape (T, {N_POINTS}, 2), T >= 1")
+        arr = np.asarray(self.frames, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[2] not in (2, 3):
+            raise ValueError(
+                f"keypoint sequence must have shape (T, {N_POINTS}, 2|3), T >= 1, got {arr.shape}"
+            )
+        arr = _check_points(arr, arr.shape[2], "keypoint sequence", ndim=3).copy()
         if not self.fps > 0:
             raise ValueError(f"fps must be positive, got {self.fps!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "frames", arr)
-        object.__setattr__(self, "fps", float(self.fps))
-
-    def __len__(self) -> int:
-        return int(self.frames.shape[0])
-
-
-@dataclass(frozen=True)
-class KeypointSequence3D:
-    """Post-rotation, pre-projection 3-D keypoints over time, shape (T, 62, 3)."""
-
-    frames: np.ndarray
-    fps: float
-
-    def __post_init__(self) -> None:
-        arr = _check_points(self.frames, 3, "3-D keypoint sequence")
-        if arr.ndim != 3 or arr.shape[0] < 1:
-            raise ValueError(f"3-D keypoint sequence must have shape (T, {N_POINTS}, 3), T >= 1")
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps!r}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
         object.__setattr__(self, "fps", float(self.fps))
@@ -388,13 +352,6 @@ def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
     return tuple(np.rad2deg([yaw, pitch, roll]))
 
 
-def deform(state: ControlState, model: DeformationModel) -> np.ndarray:
-    """Template plus AU and gaze displacements, before any rigid motion."""
-    disp = np.tensordot(state.au, model.au_bases, axes=1)
-    disp += np.tensordot(state.gaze, model.gaze_bases, axes=1)
-    return model.template + disp
-
-
 def _project(points3d: np.ndarray, model: DeformationModel) -> np.ndarray:
     ppx, ppy = model.principal_point
     out = np.empty(points3d.shape[:-1] + (2,))
@@ -407,7 +364,8 @@ def _map_values(values: np.ndarray, model: DeformationModel) -> tuple[np.ndarray
     """Map (T, 17) control values to (T, 62, 2) projected and (T, 62, 3) rotated points.
 
     Per-frame (1, k) @ (k, 186) products keep every frame's sums in the same
-    order as `deform`'s, so the stack is bit-identical to mapping frame by
+    order as a one-frame AU-then-gaze `tensordot` (the per-frame reference in
+    tests/test_mapper.py), so the stack is bit-identical to mapping frame by
     frame; one (T, k) @ (k, 186) product is not.
     """
     disp = np.matmul(values[:, None, AU_SLICE], model.au_bases.reshape(N_AU, -1))
@@ -419,43 +377,24 @@ def _map_values(values: np.ndarray, model: DeformationModel) -> tuple[np.ndarray
     return _project(rotated, model), rotated
 
 
-def map_frame(
-    state: ControlState, model: DeformationModel | None = None, validate: bool = True
-) -> tuple[KeypointFrame, np.ndarray]:
-    """Map one control state to (projected 2-D frame, rotated 3-D points).
-
-    Deformation is applied in the canonical frame, then the head rotation
-    about the template centroid, then weak-perspective projection.  This is
-    `map_sequence` on one frame.
-    """
-    model = model or default_model()
-    if validate:
-        report = validate_control_state(state)
-        if not report.ok:
-            msgs = "; ".join(v.message for v in report.violations)
-            raise ValueError(f"invalid control state: {msgs}")
-    points2d, rotated = _map_values(state.as_vector()[None], model)
-    return KeypointFrame(points2d[0]), rotated[0]
-
-
 def map_sequence(
-    seq: ControlSequence, model: DeformationModel | None = None, validate: bool = True
-) -> tuple[KeypointSequence, KeypointSequence3D]:
+    seq: ControlSequence, model: DeformationModel | None = None
+) -> tuple[KeypointSequence, KeypointSequence]:
     """Map every frame at once to (2-D, 3-D) keypoints; fps is carried through.
 
-    The sequence is validated as a whole first; an invalid one raises
+    Deformation is applied in the canonical frame, then the head rotation
+    about the template centroid, then weak-perspective projection.  The
+    sequence is validated as a whole first; an invalid one raises
     "frame N: invalid control state: ..." for its first bad frame only.
-    The points equal mapping each frame on its own with `map_frame`.
     """
     model = model or default_model()
-    if validate:
-        report = validate_sequence(seq)
-        if not report.ok:
-            first = report.violations[0].frame
-            msgs = "; ".join(v.message for v in report.violations if v.frame == first)
-            raise ValueError(f"frame {first}: invalid control state: {msgs}")
+    report = validate_sequence(seq)
+    if not report.ok:
+        first = report.violations[0].frame
+        msgs = "; ".join(v.message for v in report.violations if v.frame == first)
+        raise ValueError(f"frame {first}: invalid control state: {msgs}")
     points2d, rotated = _map_values(seq.values, model)
-    return KeypointSequence(points2d, seq.fps), KeypointSequence3D(rotated, seq.fps)
+    return KeypointSequence(points2d, seq.fps), KeypointSequence(rotated, seq.fps)
 
 
 # Frames per block when streaming keypoints: bounds the text held at once.
@@ -481,8 +420,8 @@ def _write_json_streamed(path: str | Path, payload: dict, key: str, blocks: Iter
         fh.write(f"]{tail}\n")
 
 
-def save_keypoints_json(seq: KeypointSequence | KeypointSequence3D, path: str | Path) -> None:
-    """Serialize keypoints with fps and the layout id; 2-D or 3-D by type.
+def save_keypoints_json(seq: KeypointSequence, path: str | Path) -> None:
+    """Serialize 2-D or 3-D keypoints with fps and the layout id.
 
     Frames are written in blocks of a few hundred, so memory stays bounded
     on long clips; the file is the same as one `json.dump` of the payload.
@@ -495,8 +434,8 @@ def save_keypoints_json(seq: KeypointSequence | KeypointSequence3D, path: str | 
     _write_json_streamed(path, {"fps": float(seq.fps), "layout": KEYPOINT_LAYOUT}, "frames", blocks)
 
 
-def load_keypoints_json(path: str | Path) -> KeypointSequence | KeypointSequence3D:
-    """Load a keypoint JSON; returns the 3-D type when frames carry z."""
+def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:
+    """Load a keypoint JSON whose frames must carry `dims` (2 or 3) coordinates."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -509,9 +448,11 @@ def load_keypoints_json(path: str | Path) -> KeypointSequence | KeypointSequence
     if "fps" not in payload or "frames" not in payload:
         raise ValueError(f"{path}: missing fps or frames")
     frames = np.asarray(payload["frames"], dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[1] != N_POINTS or frames.shape[2] not in (2, 3):
-        raise ValueError(f"{path}: frames must have shape (T, {N_POINTS}, 2|3), got {frames.shape}")
-    fps = float(payload["fps"])
-    if frames.shape[2] == 2:
-        return KeypointSequence(frames, fps)
-    return KeypointSequence3D(frames, fps)
+    if frames.ndim != 3 or frames.shape[1] != N_POINTS:
+        raise ValueError(f"{path}: frames must have shape (T, {N_POINTS}, {dims}), got {frames.shape}")
+    if frames.shape[2] != dims:
+        raise ValueError(
+            f"{path}: needs {dims}-D keypoints, found {frames.shape[2]}-D "
+            "(map writes 2-D, map --three-d writes 3-D)"
+        )
+    return KeypointSequence(frames, float(payload["fps"]))

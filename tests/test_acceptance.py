@@ -15,7 +15,6 @@ from eyerig.channels import (
     AU_SLICE,
     GAZE_SLICE,
     ControlSequence,
-    ControlState,
     channel_index,
     enforce_state_invariants,
 )
@@ -31,13 +30,7 @@ from eyerig.library import (
     invert_controls,
     query,
 )
-from eyerig.mapper import (
-    KeypointFrame,
-    KeypointSequence3D,
-    default_model,
-    map_frame,
-    map_sequence,
-)
+from eyerig.mapper import KeypointSequence, default_model, map_sequence
 from eyerig.metrics import au_f1, au_temp, dtw
 from eyerig.objectives import fm_loss, fm_loss_grad, kto_loss
 from eyerig.planner import CATEGORIES, signature_aus
@@ -61,7 +54,7 @@ def _random_states(rng, n):
 def test_criterion_1_retrieval_matches_exhaustive_search():
     rng = np.random.default_rng(101)
     w = np.asarray(DEFAULT_QUERY_WEIGHTS, dtype=np.float64)
-    shared_kp = KeypointSequence3D(np.zeros((1, 62, 3)), 25.0)
+    shared_kp = KeypointSequence(np.zeros((1, 62, 3)), 25.0)
     elapsed = 0.0
     for trial in range(200):
         n = int(rng.integers(1, 1001))
@@ -156,11 +149,10 @@ def test_criterion_4_guidance_schedule():
 
     # squeeze the neutral face so both iris centers land on exact grid cells:
     # columns 20 and 43, row 31 on a 64x64 grid
-    frame, _ = map_frame(ControlState.zero(), default_model())
-    pts = frame.points.copy()
-    pts[:, 0] = 0.5 + (pts[:, 0] - 0.5) * ((23.0 / 64.0) / 0.36)
-    pts[:, 1] = pts[:, 1] - (0.5 - 31.5 / 64.0)
-    snapped = KeypointFrame(pts)
+    points2d, _ = map_sequence(ControlSequence(np.zeros((1, 17)), 25.0), default_model())
+    snapped = points2d.frames[0].copy()
+    snapped[:, 0] = 0.5 + (snapped[:, 0] - 0.5) * ((23.0 / 64.0) / 0.36)
+    snapped[:, 1] = snapped[:, 1] - (0.5 - 31.5 / 64.0)
     cells = eye_centers(snapped) * 64.0 - 0.5
     np.testing.assert_allclose(cells[:, 0], [20.0, 43.0], atol=1e-9)
     np.testing.assert_allclose(cells[:, 1], [31.0, 31.0], atol=1e-9)

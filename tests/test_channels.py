@@ -12,7 +12,6 @@ from eyerig.channels import (
     HEAD_NAMES,
     N_CHANNELS,
     ControlSequence,
-    ControlState,
     channel_index,
     enforce_state_invariants,
     load_controls_csv,
@@ -41,39 +40,57 @@ def test_channel_roster_order():
 
 
 def test_zero_state_is_valid():
-    assert validate_control_state(ControlState.zero()).ok
+    assert validate_control_state(np.zeros(N_CHANNELS)).ok
 
 
 def test_au_range_violation_detected():
-    state = ControlState.from_vector(vec(AU1=1.2))
-    report = validate_control_state(state)
+    report = validate_control_state(vec(AU1=1.2))
     assert not report.ok
     assert [v.rule for v in report.violations] == ["au_range"]
     assert report.violations[0].channel == "AU1"
 
 
 def test_head_range_violation_detected():
-    report = validate_control_state(ControlState.from_vector(vec(pitch=-75.0)))
+    report = validate_control_state(vec(pitch=-75.0))
     assert [v.rule for v in report.violations] == ["head_range"]
 
 
 def test_opposing_gaze_rejected():
     # both horizontal gaze channels active on one frame is non-physical
-    state = ControlState.from_vector(vec(gaze_left=0.3, gaze_right=0.2))
-    report = validate_control_state(state)
+    report = validate_control_state(vec(gaze_left=0.3, gaze_right=0.2))
     assert [v.rule for v in report.violations] == ["gaze_opposition"]
 
 
 def test_single_gaze_direction_fine():
-    assert validate_control_state(ControlState.from_vector(vec(gaze_left=0.9))).ok
+    assert validate_control_state(vec(gaze_left=0.9)).ok
 
 
 def test_lid_conflict_rejected():
-    state = ControlState.from_vector(vec(AU5_L=0.6, AU43_L=0.7))
-    report = validate_control_state(state)
+    report = validate_control_state(vec(AU5_L=0.6, AU43_L=0.7))
     assert [v.rule for v in report.violations] == ["lid_conflict"]
     # at the limit is allowed
-    assert validate_control_state(ControlState.from_vector(vec(AU5_L=0.5, AU43_L=0.9))).ok
+    assert validate_control_state(vec(AU5_L=0.5, AU43_L=0.9)).ok
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.zeros(N_CHANNELS - 1), "shape"),
+        (np.zeros((1, N_CHANNELS)), "shape"),
+        (vec(AU1=np.nan), "non-finite"),
+    ],
+)
+def test_validate_control_state_rejects_malformed_vector(bad, match):
+    with pytest.raises(ValueError, match=match):
+        validate_control_state(bad)
+
+
+def test_validate_control_state_matches_validate_sequence():
+    rng = np.random.default_rng(31)
+    raw = rng.uniform(-1, 2, (40, N_CHANNELS))
+    whole = validate_sequence(ControlSequence(raw, 25.0)).violations
+    per_frame = [v for t in range(40) for v in validate_control_state(raw[t], frame=t + 1).violations]
+    assert whole and per_frame == whole
 
 
 def test_validate_sequence_reports_frame_numbers():
@@ -215,7 +232,7 @@ def test_enforce_invariants_idempotent():
     twice = enforce_state_invariants(once)
     np.testing.assert_array_equal(once, twice)
     for t in range(30):
-        assert validate_control_state(ControlState.from_vector(once[t])).ok
+        assert validate_control_state(once[t]).ok
 
 
 def test_mirror_control_involution():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from eyerig import cli
 from eyerig.channels import ControlSequence, save_controls_csv
 from eyerig.cli import main
 from eyerig.demo import demo_records
@@ -24,14 +25,36 @@ def compiled(tmp_path):
     return out
 
 
+@pytest.fixture()
+def three_d(tmp_path, compiled):
+    out = tmp_path / "kp3d.json"
+    assert run("map", compiled / "drowsiness.controls.csv", "-o", out, "--three-d") == 0
+    return out
+
+
 class TestCompile:
     def test_demo_library_pass(self, compiled, capsys):
         audit = json.loads((compiled / "drowsiness.audit.json").read_text())
         assert audit["verdict"] == "pass"
         assert audit["frames"] == 50
         assert (compiled / "drowsiness.controls.csv").exists()
-        kp = load_keypoints_json(compiled / "drowsiness.keypoints.json")
+        kp = load_keypoints_json(compiled / "drowsiness.keypoints.json", dims=2)
         assert len(kp) == 50
+
+    def test_sample_k_and_seed_reach_refine(self, tmp_path, monkeypatch):
+        # a replan recomposes with the config's sample_k and the --seed draw
+        seen, real = {}, cli.refine
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "refine", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_k": 3}))
+        assert run("--config", cfg, "--seed", "7", "compile", "--label", "anger",
+                   "--frames", "50", "--out-dir", tmp_path / "out") == 0
+        assert (seen["sample_k"], seen["seed"]) == (3, 7)
 
     def test_unknown_label_lists_categories(self, tmp_path, capsys):
         code = run("compile", "--label", "nonsense", "--frames", "10",
@@ -168,7 +191,7 @@ class TestMapAndBuildLib:
         out = tmp_path / "kp.json"
         code = run("map", compiled / "drowsiness.controls.csv", "-o", out)
         assert code == 0
-        kp = load_keypoints_json(out)
+        kp = load_keypoints_json(out, dims=2)
         assert kp.frames.shape == (50, 62, 2)
 
     def test_build_lib_from_three_traces(self, tmp_path, capsys):
@@ -193,7 +216,7 @@ class TestMapAndBuildLib:
     def test_build_lib_rejects_2d_keypoints(self, tmp_path, compiled, capsys):
         d = tmp_path / "traces"
         d.mkdir()
-        kp2d = load_keypoints_json(compiled / "drowsiness.keypoints.json")
+        kp2d = load_keypoints_json(compiled / "drowsiness.keypoints.json", dims=2)
         save_keypoints_json(kp2d, d / "drowsiness__000.keypoints.json")
         assert run("build-lib", d, "-o", tmp_path / "lib.json") == 1
         assert "3-D" in capsys.readouterr().err
@@ -237,6 +260,12 @@ class TestGuidance:
                    "-o", tmp_path / "f.ogf", "--frame", "999")
         assert code == 1
 
+    def test_three_d_file_rejected(self, tmp_path, three_d, capsys):
+        out = tmp_path / "f.ogf"
+        assert run("guidance", three_d, "-o", out) == 1
+        assert "needs 2-D keypoints, found 3-D" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_controls_pair_with_label(self, compiled, capsys):
@@ -255,6 +284,10 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["eye_lmd"] == 0.0
         assert report["au_f1"] is None
+
+    def test_three_d_keypoints_rejected(self, three_d, capsys):
+        assert run("eval", three_d, three_d) == 1
+        assert "needs 2-D keypoints, found 3-D" in capsys.readouterr().err
 
     def test_mixed_kinds_rejected(self, compiled, capsys):
         code = run("eval", compiled / "drowsiness.controls.csv",
@@ -287,6 +320,12 @@ class TestPreview:
         code = run("preview", compiled / "drowsiness.keypoints.json",
                    "-o", tmp_path / "f", "--every", "0")
         assert code == 1
+
+    def test_three_d_file_rejected(self, tmp_path, three_d, capsys):
+        out = tmp_path / "frames"
+        assert run("preview", three_d, "-o", out) == 1
+        assert "needs 2-D keypoints, found 3-D" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGlobalFlags:

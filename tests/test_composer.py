@@ -9,13 +9,13 @@ from eyerig.channels import (
 )
 from eyerig.composer import compose, crossfade_concat, rescale_amplitude
 from eyerig.library import build_library
-from eyerig.mapper import KeypointSequence3D, N_POINTS
+from eyerig.mapper import KeypointSequence, N_POINTS
 from eyerig.planner import Plan, StagedEvent, plan
 
 
 def _proto_record(label, values, fps=25.0):
     seq = ControlSequence(np.asarray(values, dtype=np.float64), fps)
-    kp = KeypointSequence3D(np.zeros((len(seq), N_POINTS, 3)), fps)
+    kp = KeypointSequence(np.zeros((len(seq), N_POINTS, 3)), fps)
     return (label, seq, kp)
 
 

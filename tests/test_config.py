@@ -73,6 +73,8 @@ class TestLoading:
         )
         assert cfg.template_table is not None
         assert "custom" in cfg.template_table
+        # the path is the loader's input only; the config keeps the table
+        assert not hasattr(cfg, "template_table_path")
 
     def test_missing_table_fails_at_load(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):

@@ -16,8 +16,9 @@ from eyerig.critic import (
     critique,
     refine,
 )
+from eyerig.demo import build_demo_library
 from eyerig.library import build_library
-from eyerig.mapper import KeypointSequence3D, N_POINTS
+from eyerig.mapper import KeypointSequence, N_POINTS
 from eyerig.planner import Plan, StagedEvent, plan as build_plan
 
 CORPUS = build_corpus()
@@ -264,7 +265,7 @@ def _ramp_library():
     base[:, channel_index("AU4_L")] = t
     base[:, channel_index("AU4_R")] = t
     base[:, channel_index("AU7")] = t
-    kp = KeypointSequence3D(np.zeros((20, N_POINTS, 3)), 25.0)
+    kp = KeypointSequence(np.zeros((20, N_POINTS, 3)), 25.0)
     return build_library([("anger", ControlSequence(base, 25.0), kp)])
 
 
@@ -289,6 +290,24 @@ class TestRefineLoop:
         result = refine(inert, p, lib=lib, max_replans=1)
         assert result.replans == 1
         assert result.report.verdict == "pass"
+
+    def test_replan_recomposes_with_sample_k_and_seed(self):
+        # the recompose after a replan draws from the top sample_k hits with
+        # the caller's seed, exactly as compose does, not the best hit
+        lib = build_demo_library()
+        p = build_plan("anger", 50, 25.0)
+        relaxed = build_plan("anger", 50, 25.0, relax=0.5)
+        inert = ControlSequence(np.zeros((50, 17)), 25.0)
+        best = compose(relaxed, lib).values
+        differs = 0
+        for seed in range(4):
+            result = refine(inert, p, lib=lib, max_replans=1, sample_k=3, seed=seed)
+            assert result.replans == 1
+            drawn = compose(relaxed, lib, sample_k=3, seed=seed)
+            want = refine(drawn, relaxed, max_replans=0)
+            np.testing.assert_array_equal(result.sequence.values, want.sequence.values)
+            differs += not np.array_equal(drawn.values, best)
+        assert differs > 0
 
     def test_history_records_every_round(self):
         case = BY_NAME["interblink_too_short"]

@@ -68,7 +68,7 @@ class TestDemoRecords:
     def test_every_frame_valid(self, lib):
         for proto in lib.prototypes:
             for t in range(0, len(proto.controls), 13):
-                assert validate_control_state(proto.controls.frame(t)).ok
+                assert validate_control_state(proto.controls.values[t]).ok
 
     def test_keypoints_match_controls(self, lib):
         for proto in lib.prototypes:

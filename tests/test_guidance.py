@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eyerig.channels import ControlState
+from eyerig.channels import N_CHANNELS, ControlSequence
 from eyerig.guidance import (
     GuidanceField,
     GuidanceParams,
@@ -15,13 +15,13 @@ from eyerig.guidance import (
     step_progress,
     temporal_weight,
 )
-from eyerig.mapper import default_model, map_frame
+from eyerig.mapper import N_POINTS, default_model, map_sequence
 
 
 @pytest.fixture(scope="module")
 def neutral_frame():
-    frame, _ = map_frame(ControlState.zero(), default_model())
-    return frame
+    points2d, _ = map_sequence(ControlSequence(np.zeros((1, N_CHANNELS)), 25.0), default_model())
+    return points2d.frames[0]
 
 
 class TestTemporalWeight:
@@ -101,6 +101,19 @@ class TestEyeCenters:
         assert centers[0, 1] == pytest.approx(centers[1, 1], abs=1e-9)
         assert centers[0, 0] + centers[1, 0] == pytest.approx(1.0, abs=1e-9)
         assert centers[0, 0] < centers[1, 0]  # left eye sits at smaller u
+
+    @pytest.mark.parametrize(
+        "shape", [(N_POINTS, 3), (1, N_POINTS, 2), (N_POINTS - 1, 2)]
+    )
+    def test_needs_one_2d_frame(self, shape):
+        with pytest.raises(ValueError, match=rf"keypoint frame must have shape \({N_POINTS}, 2\)"):
+            eye_centers(np.zeros(shape))
+
+    def test_non_finite_rejected(self, neutral_frame):
+        pts = neutral_frame.copy()
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            guidance_field(pts)
 
 
 class TestGuidanceField:

@@ -25,7 +25,7 @@ from eyerig.library import (
     query,
     save_library,
 )
-from eyerig.mapper import KeypointSequence3D, default_model, map_sequence
+from eyerig.mapper import KeypointSequence, default_model, map_sequence
 
 
 def make_sequence(rng, frames=5, fps=25.0):
@@ -63,6 +63,13 @@ def test_prototype_length_mismatch_rejected():
     _, k3 = map_sequence(make_sequence(rng, 6))
     with pytest.raises(ValueError, match="disagree"):
         Prototype("x", seq, k3)
+
+
+def test_prototype_needs_3d_keypoints():
+    seq = make_sequence(np.random.default_rng(0), 5)
+    k2, _ = map_sequence(seq)
+    with pytest.raises(ValueError, match="keypoints must be 3-D, got 2-D"):
+        Prototype("x", seq, k2)
 
 
 def test_query_single_channel_separation():
@@ -146,7 +153,7 @@ def test_library_means_match_channel_summary_exactly():
     protos = []
     for frames in (1, 2, 7, 50, 200, 1, 133):
         seq = make_sequence(rng, frames)
-        protos.append(Prototype("x", seq, KeypointSequence3D(np.zeros((frames, 62, 3)), seq.fps)))
+        protos.append(Prototype("x", seq, KeypointSequence(np.zeros((frames, 62, 3)), seq.fps)))
     lib = PrototypeLibrary(tuple(protos))
     want = np.stack([p.controls.values.mean(axis=0) for p in protos])
     np.testing.assert_array_equal(lib._means, want)
@@ -202,6 +209,14 @@ def test_library_malformed(tmp_path):
         load_library(path)
 
 
+def test_library_with_2d_keypoints_names_file(tmp_path):
+    path = tmp_path / "lib.json"
+    entry = {"label": "x", "fps": 25.0, "controls": [[0.0] * 17], "keypoints": [[[0.5, 0.5]] * 62]}
+    path.write_text(json.dumps({"version": 1, "prototypes": [entry]}))
+    with pytest.raises(ValueError, match=r"lib\.json: prototype 'x': keypoints must be 3-D"):
+        load_library(path)
+
+
 def test_baseline_symmetry_enforced():
     pts = default_model().template.copy()
     pts[0, 0] += 0.01
@@ -211,7 +226,7 @@ def test_baseline_symmetry_enforced():
 
 def test_invert_neutral_is_zero():
     m = default_model()
-    k3 = KeypointSequence3D(m.template[None, :, :], 25.0)
+    k3 = KeypointSequence(m.template[None, :, :], 25.0)
     rec = invert_controls(k3, baseline_from_model(m), m)
     np.testing.assert_allclose(rec.values, 0.0, atol=1e-9)
 
@@ -248,4 +263,4 @@ def test_invert_degenerate_frame_errors():
     m = default_model()
     frames = np.zeros((1, 62, 3))
     with pytest.raises(ValueError, match="frame 1"):
-        invert_controls(KeypointSequence3D(frames, 25.0), baseline_from_model(m), m)
+        invert_controls(KeypointSequence(frames, 25.0), baseline_from_model(m), m)

@@ -7,8 +7,8 @@ import pytest
 from eyerig.channels import (
     AU_SLICE,
     GAZE_SLICE,
+    HEAD_SLICE,
     N_CHANNELS,
-    ControlState,
     channel_index,
     enforce_state_invariants,
 )
@@ -24,13 +24,10 @@ from eyerig.mapper import (
     RIGHT_PUPIL,
     DeformationModel,
     KeypointSequence,
-    KeypointSequence3D,
     _KEYPOINT_BLOCK_FRAMES,
     default_model,
-    deform,
     euler_from_rotation,
     load_keypoints_json,
-    map_frame,
     map_sequence,
     mirror_points,
     rotation_matrix,
@@ -43,7 +40,20 @@ def state(**channels):
     v = np.zeros(N_CHANNELS)
     for name, value in channels.items():
         v[channel_index(name)] = value
-    return ControlState.from_vector(v)
+    return v
+
+
+def map_one(vec, model=None):
+    """(62, 2) projected and (62, 3) rotated points of one (17,) control vector."""
+    k2, k3 = map_sequence(ControlSequence(np.asarray(vec)[None], 25.0), model)
+    return k2.frames[0], k3.frames[0]
+
+
+def deform(vec, model):
+    """Template plus AU and gaze displacements of one (17,) vector, before any rigid motion."""
+    disp = np.tensordot(vec[AU_SLICE], model.au_bases, axes=1)
+    disp += np.tensordot(vec[GAZE_SLICE], model.gaze_bases, axes=1)
+    return model.template + disp
 
 
 def test_layout_block_sizes():
@@ -120,32 +130,30 @@ def test_au_bases_mirror_pairs():
 
 def test_neutral_maps_to_projected_template():
     m = default_model()
-    frame, rotated = map_frame(ControlState.zero(), m)
+    frame, rotated = map_one(state(), m)
     np.testing.assert_allclose(rotated, m.template, atol=1e-15)
     # projection: u = 0.5 + x, v = 0.5 - y at unit scale
-    np.testing.assert_allclose(frame.points[:, 0], 0.5 + m.template[:, 0])
-    np.testing.assert_allclose(frame.points[:, 1], 0.5 - m.template[:, 1])
+    np.testing.assert_allclose(frame[:, 0], 0.5 + m.template[:, 0])
+    np.testing.assert_allclose(frame[:, 1], 0.5 - m.template[:, 1])
 
 
 def test_au43_closes_lid_downward():
     m = default_model()
-    closed, _ = map_frame(state(AU43_L=1.0), m)
-    open_, _ = map_frame(ControlState.zero(), m)
+    closed, _ = map_one(state(AU43_L=1.0), m)
+    open_, _ = map_one(state(), m)
     mid = LEFT_UPPER_LID[3]
     # image y grows downward, so a dropping lid increases v
-    assert closed.points[mid, 1] > open_.points[mid, 1]
+    assert closed[mid, 1] > open_[mid, 1]
 
 
 def test_gaze_left_moves_pupils_left_in_image():
     m = default_model()
-    shifted, _ = map_frame(state(gaze_left=1.0), m)
-    rest, _ = map_frame(ControlState.zero(), m)
+    shifted, _ = map_one(state(gaze_left=1.0), m)
+    rest, _ = map_one(state(), m)
     for p in (LEFT_PUPIL, RIGHT_PUPIL):
-        assert shifted.points[p, 0] < rest.points[p, 0]
+        assert shifted[p, 0] < rest[p, 0]
     # lids do not move with gaze
-    np.testing.assert_array_equal(
-        shifted.points[list(LEFT_UPPER_LID)], rest.points[list(LEFT_UPPER_LID)]
-    )
+    np.testing.assert_array_equal(shifted[list(LEFT_UPPER_LID)], rest[list(LEFT_UPPER_LID)])
 
 
 def test_mirror_equivariance():
@@ -158,22 +166,22 @@ def test_mirror_equivariance():
         v[10] = rng.uniform(0, 1)  # gaze_left only; opposition holds either way
         v[12] = rng.uniform(0, 1)
         v[14:] = rng.uniform(-30, 30, 3)
-        _, p3d = map_frame(ControlState.from_vector(v), m)
-        _, p3d_m = map_frame(ControlState.from_vector(mirror_control_vector(v)), m)
+        _, p3d = map_one(v, m)
+        _, p3d_m = map_one(mirror_control_vector(v), m)
         assert np.max(np.abs(p3d_m - mirror_points(p3d))) < 1e-6
 
 
 def test_projection_scale_monotone_about_principal_point():
     m = default_model()
     m2 = DeformationModel(m.template, m.au_bases, m.gaze_bases, scale=2.0)
-    f1, _ = map_frame(ControlState.zero(), m)
-    f2, _ = map_frame(ControlState.zero(), m2)
-    np.testing.assert_allclose(f2.points - 0.5, 2.0 * (f1.points - 0.5), atol=1e-12)
+    f1, _ = map_one(state(), m)
+    f2, _ = map_one(state(), m2)
+    np.testing.assert_allclose(f2 - 0.5, 2.0 * (f1 - 0.5), atol=1e-12)
 
 
-def test_map_frame_rejects_invalid_state():
-    with pytest.raises(ValueError, match="gaze"):
-        map_frame(state(gaze_left=0.5, gaze_right=0.5))
+def test_map_sequence_rejects_invalid_frame():
+    with pytest.raises(ValueError, match="frame 1: invalid control state: opposing gaze"):
+        map_one(state(gaze_left=0.5, gaze_right=0.5))
 
 
 def test_map_sequence_shapes_and_fps():
@@ -200,8 +208,7 @@ def test_map_sequence_matches_per_frame_composition():
     c = m.centroid
     ppx, ppy = m.principal_point
     for i in range(n):
-        st = ControlState.from_vector(v[i])
-        rotated = (deform(st, m) - c) @ rotation_matrix(*map(float, st.head)).T + c
+        rotated = (deform(v[i], m) - c) @ rotation_matrix(*map(float, v[i, HEAD_SLICE])).T + c
         projected = np.stack([ppx + m.scale * rotated[:, 0], ppy - m.scale * rotated[:, 1]], axis=1)
         assert np.array_equal(k3.frames[i], rotated), i
         assert np.array_equal(k2.frames[i], projected), i
@@ -215,8 +222,8 @@ def test_keypoints_stay_normalized_under_legal_poses():
         v[14] = rng.uniform(-90, 90)
         v[15] = rng.uniform(-60, 60)
         v[16] = rng.uniform(-45, 45)
-        frame, _ = map_frame(ControlState.from_vector(v), m)
-        assert frame.points.min() >= 0.0 and frame.points.max() <= 1.0
+        frame, _ = map_one(v, m)
+        assert frame.min() >= 0.0 and frame.max() <= 1.0
 
 
 def test_keypoint_json_round_trip_2d(tmp_path):
@@ -224,7 +231,7 @@ def test_keypoint_json_round_trip_2d(tmp_path):
     k2, k3 = map_sequence(seq)
     path = tmp_path / "kp.json"
     save_keypoints_json(k2, path)
-    back = load_keypoints_json(path)
+    back = load_keypoints_json(path, dims=2)
     assert isinstance(back, KeypointSequence)
     np.testing.assert_array_equal(back.frames, k2.frames)
     assert back.fps == 25.0
@@ -236,8 +243,8 @@ def test_keypoint_json_round_trip_3d(tmp_path):
     _, k3 = map_sequence(seq)
     path = tmp_path / "kp3.json"
     save_keypoints_json(k3, path)
-    back = load_keypoints_json(path)
-    assert isinstance(back, KeypointSequence3D)
+    back = load_keypoints_json(path, dims=3)
+    assert back.frames.shape == (2, N_POINTS, 3)
     np.testing.assert_array_equal(back.frames, k3.frames)
 
 
@@ -245,7 +252,7 @@ def test_keypoint_json_round_trip_3d(tmp_path):
 @pytest.mark.parametrize("n", [1, _KEYPOINT_BLOCK_FRAMES, _KEYPOINT_BLOCK_FRAMES + 1])
 def test_keypoint_json_wire_format(tmp_path, dims, n):
     frames = np.random.default_rng(n).normal(0.5, 0.2, (n, N_POINTS, dims))
-    seq = (KeypointSequence if dims == 2 else KeypointSequence3D)(frames, 30.0)
+    seq = KeypointSequence(frames, 30.0)
     path = tmp_path / "kp.json"
     save_keypoints_json(seq, path)
     payload = {
@@ -260,4 +267,18 @@ def test_keypoint_json_bad_layout(tmp_path):
     path = tmp_path / "kp.json"
     path.write_text('{"fps": 25, "layout": "other-64", "frames": []}')
     with pytest.raises(ValueError, match="layout"):
-        load_keypoints_json(path)
+        load_keypoints_json(path, dims=2)
+
+
+@pytest.mark.parametrize("dims, found", [(2, 3), (3, 2)])
+def test_keypoint_json_wrong_dims_names_file_and_dims(tmp_path, dims, found):
+    path = tmp_path / "kp.json"
+    save_keypoints_json(KeypointSequence(np.zeros((2, N_POINTS, found)), 25.0), path)
+    with pytest.raises(ValueError, match=f"kp.json: needs {dims}-D keypoints, found {found}-D"):
+        load_keypoints_json(path, dims=dims)
+
+
+@pytest.mark.parametrize("shape", [(0, N_POINTS, 2), (2, N_POINTS, 4), (2, 61, 2), (N_POINTS, 2)])
+def test_keypoint_sequence_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError, match="keypoint sequence must have shape"):
+        KeypointSequence(np.zeros(shape), 25.0)
