@@ -248,13 +248,16 @@ def _kabsch(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rotation R minimizing ||target - R @ source|| over proper rotations.
 
     Points are rows, already referenced to the rotation center; no centering
-    or scaling here.
+    or scaling here.  (k, 3) point sets give one (3, 3) rotation; (..., k, 3)
+    stacks, broadcast against each other, give a (..., 3, 3) stack, each
+    matrix equal to its own pair's call.
     """
-    H = source.T @ target
+    H = source.swapaxes(-1, -2) @ target
     U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    return Vt.T @ D @ U.T
+    V, Ut = Vt.swapaxes(-1, -2), U.swapaxes(-1, -2)
+    D = np.broadcast_to(np.eye(3), H.shape).copy()
+    D[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    return V @ D @ Ut
 
 
 def _anchor_points(model: DeformationModel) -> np.ndarray:
@@ -292,13 +295,24 @@ def invert_controls(
     """Recover per-frame control vectors from 3-D keypoints.
 
     Per frame, alternates (a) rigid-rotation estimation against the deformed
-    baseline, (b) non-negative least squares of the de-rotated lid/brow
-    residual onto the AU bases, and (c) gaze readout from the mean iris/pupil
-    residual, until the recovered vector stabilizes.  Extreme head poses
-    contract slowly, hence the generous iteration cap.  Degenerate or
-    non-convergent frames raise with their frame index.
+    baseline, (b) least squares of the de-rotated lid/brow residual onto the
+    AU bases, redone as non-negative least squares where it goes negative,
+    and (c) gaze readout from the mean iris/pupil residual, until the
+    recovered vector moves less than `tol`.  Extreme head poses contract
+    slowly, hence the generous iteration cap.
+
+    Each iteration runs over all still-active frames at once; a frame leaves
+    the active set with the vector of the iteration it converged on.  Every
+    frame's sums keep the order of a one-frame solve (stacked (1, k) and
+    (k, 1) products, never one (n, k) @ (k, m)), so the result is
+    bit-identical to inverting frame by frame (the reference loop in
+    tests/test_library.py).  Degenerate frames are checked over the whole
+    sequence first; then the lowest non-convergent frame raises.
     """
     model = model or default_model()
+    dims = keypoints.frames.shape[-1]
+    if dims != 3:
+        raise ValueError(f"control inversion needs 3-D keypoints, got {dims}-D")
     base = baseline.points
     c = base.mean(axis=0)
     base_c = base - c
@@ -318,51 +332,46 @@ def invert_controls(
     if h_step <= 0 or v_step <= 0:
         raise ValueError("gaze bases have no horizontal/vertical support")
 
+    gaze_div = np.array([h_step, h_step, v_step, v_step])
+    au_flat = model.au_bases.reshape(N_AU, -1)
+    gaze_flat = model.gaze_bases.reshape(N_GAZE, -1)
+
+    obs_c = keypoints.frames - c
+    spread = (obs_c - obs_c.mean(axis=1, keepdims=True)).reshape(len(keypoints), 1, -1)
+    # (1, k) @ (k, 1) is a dot product, summed as a one-frame Frobenius norm is.
+    degenerate = np.flatnonzero(np.sqrt(spread @ spread.swapaxes(-1, -2)).ravel() < 1e-9)
+    if degenerate.size:
+        raise ValueError(f"frame {degenerate[0] + 1}: degenerate keypoint configuration")
+
+    # Rotation seed: rigid anchor points when the model has them, else a
+    # crude all-point alignment that the loop refines.
     anchors = _anchor_points(model)
+    if anchors.size:
+        R = _kabsch(base_c[anchors], obs_c[:, anchors])
+    else:
+        R = _kabsch(base_c, obs_c)
     out = np.zeros((len(keypoints), N_CHANNELS))
-    for t in range(len(keypoints)):
-        obs = keypoints.frames[t]
-        obs_c = obs - c
-        if np.linalg.norm(obs_c - obs_c.mean(axis=0), ord="fro") < 1e-9:
-            raise ValueError(f"frame {t + 1}: degenerate keypoint configuration")
-        vec = np.zeros(N_CHANNELS)
-        # Rotation seed: rigid anchor points when the model has them, else a
-        # crude all-point alignment that the loop refines.
-        if anchors.size:
-            R = _kabsch(base_c[anchors], obs_c[anchors])
-        else:
-            R = _kabsch(base_c, obs_c)
-        converged = False
-        for _ in range(max_iter):
-            derot = obs_c @ R + c  # R.T applied to rows
-            residual = derot - base
-            b = residual[_SHAPE_IDS].reshape(-1)
-            au = pinv @ b
-            if np.any(au < 0.0):
-                au, _ = nnls(Rqr, Q.T @ b)
-            au = np.clip(au, 0.0, 1.0)
-            g = residual[_GAZE_IDS].mean(axis=0)
-            gaze = np.clip(
-                [
-                    max(-g[0], 0.0) / h_step,  # gaze_left
-                    max(g[0], 0.0) / h_step,  # gaze_right
-                    max(g[1], 0.0) / v_step,  # gaze_up
-                    max(-g[1], 0.0) / v_step,  # gaze_down
-                ],
-                0.0,
-                1.0,
-            )
-            yaw, pitch, roll = euler_from_rotation(R)
-            new_vec = np.concatenate([au, gaze, [yaw, pitch, roll]])
-            if np.max(np.abs(new_vec - vec)) < tol:
-                vec = new_vec
-                converged = True
-                break
-            vec = new_vec
-            disp = np.tensordot(au, model.au_bases, axes=1)
-            disp += np.tensordot(gaze, model.gaze_bases, axes=1)
-            R = _kabsch(base_c + disp, obs_c)
-        if not converged:
-            raise ValueError(f"frame {t + 1}: control inversion did not converge")
-        out[t] = vec
-    return ControlSequence(out, keypoints.fps)
+    active = np.arange(len(keypoints))  # frame index of each row still iterating
+    vec = np.zeros_like(out)  # each active frame's previous vector
+    for _ in range(max_iter):
+        residual = obs_c @ R + c - base  # R.T applied to rows
+        b = residual[:, _SHAPE_IDS].reshape(len(active), -1, 1)
+        au = (pinv @ b)[..., 0]
+        for i in np.flatnonzero((au < 0.0).any(axis=1)):
+            au[i], _ = nnls(Rqr, (Q.T @ b[i])[:, 0])
+        au = np.clip(au, 0.0, 1.0)
+        g = residual[:, _GAZE_IDS].mean(axis=1)
+        # Clamped below at 0 by a select, not np.maximum, so that -0.0 stays -0.0
+        # as in the frame-by-frame readout: the library file writes the sign.
+        signed = np.stack([-g[:, 0], g[:, 0], g[:, 1], -g[:, 1]], axis=1)  # left, right, up, down
+        gaze = np.clip(np.where(signed < 0.0, 0.0, signed) / gaze_div, 0.0, 1.0)
+        new_vec = np.concatenate([au, gaze, np.stack(euler_from_rotation(R), axis=1)], axis=1)
+        moving = np.flatnonzero(~(np.max(np.abs(new_vec - vec), axis=1) < tol))
+        out[active] = new_vec
+        if moving.size == 0:
+            return ControlSequence(out, keypoints.fps)
+        active, obs_c, vec = active[moving], obs_c[moving], new_vec[moving]
+        disp = np.matmul(au[moving, None, :], au_flat)
+        disp += np.matmul(gaze[moving, None, :], gaze_flat)
+        R = _kabsch(base_c + disp.reshape(-1, N_POINTS, 3), obs_c)
+    raise ValueError(f"frame {active[0] + 1}: control inversion did not converge")

@@ -338,18 +338,20 @@ def rotation_matrix(yaw: ArrayLike, pitch: ArrayLike, roll: ArrayLike) -> np.nda
     return rz @ rx @ ry
 
 
-def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
+def euler_from_rotation(R: ArrayLike) -> tuple[Any, Any, Any]:
     """Recover (yaw, pitch, roll) in degrees from a rotation_matrix() product.
 
-    Valid away from pitch = +-90 deg, far outside the legal head range.
+    Valid away from pitch = +-90 deg, far outside the legal head range.  One
+    (3, 3) matrix gives three scalars; a (..., 3, 3) stack gives three (...)
+    arrays, each element equal to that matrix's own call.
     """
     R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3x3 rotation, got {R.shape}")
-    pitch = np.arcsin(np.clip(-R[2, 1], -1.0, 1.0))
-    yaw = np.arctan2(-R[2, 0], R[2, 2])
-    roll = np.arctan2(-R[0, 1], R[1, 1])
-    return tuple(np.rad2deg([yaw, pitch, roll]))
+    pitch = np.arcsin(np.clip(-R[..., 2, 1], -1.0, 1.0))
+    yaw = np.arctan2(-R[..., 2, 0], R[..., 2, 2])
+    roll = np.arctan2(-R[..., 0, 1], R[..., 1, 1])
+    return tuple(np.rad2deg(np.stack([yaw, pitch, roll])))
 
 
 def _project(points3d: np.ndarray, model: DeformationModel) -> np.ndarray:

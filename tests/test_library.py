@@ -4,11 +4,16 @@ import json
 import numpy as np
 import pytest
 
+import eyerig.library as library
+from eyerig import build_demo_library, compose, plan, refine
 from eyerig.channels import (
     AU_SLICE,
+    GAZE_NAMES,
     GAZE_SLICE,
     HEAD_SLICE,
+    N_AU,
     N_CHANNELS,
+    N_GAZE,
     ControlSequence,
     channel_index,
     enforce_state_invariants,
@@ -25,7 +30,7 @@ from eyerig.library import (
     query,
     save_library,
 )
-from eyerig.mapper import KeypointSequence, default_model, map_sequence
+from eyerig.mapper import KeypointSequence, default_model, euler_from_rotation, map_sequence
 
 
 def make_sequence(rng, frames=5, fps=25.0):
@@ -231,17 +236,23 @@ def test_invert_neutral_is_zero():
     np.testing.assert_allclose(rec.values, 0.0, atol=1e-9)
 
 
-def test_invert_pure_rotation():
-    m = default_model()
+def rotation_states():
+    """One frame of pure head rotation."""
     vals = np.zeros((1, N_CHANNELS))
     vals[0, 14:] = (30.0, -20.0, 10.0)
-    _, k3 = map_sequence(ControlSequence(vals, 25.0), m)
-    rec = invert_controls(k3, baseline_from_model(m), m)
-    np.testing.assert_allclose(rec.values, vals, atol=1e-9)
+    return ControlSequence(vals, 25.0)
 
 
-def test_invert_round_trip_random_states():
+def test_invert_pure_rotation():
     m = default_model()
+    seq = rotation_states()
+    _, k3 = map_sequence(seq, m)
+    rec = invert_controls(k3, baseline_from_model(m), m)
+    np.testing.assert_allclose(rec.values, seq.values, atol=1e-9)
+
+
+def random_states():
+    """60 legal control states over the whole head range, gaze opposition kept."""
     rng = np.random.default_rng(6)
     vals = np.zeros((60, N_CHANNELS))
     vals[:, AU_SLICE] = rng.uniform(0, 1, (60, 10))
@@ -252,8 +263,12 @@ def test_invert_round_trip_random_states():
     vals[:, 14] = rng.uniform(-90, 90, 60)
     vals[:, 15] = rng.uniform(-60, 60, 60)
     vals[:, 16] = rng.uniform(-45, 45, 60)
-    vals = enforce_state_invariants(vals)
-    seq = ControlSequence(vals, 25.0)
+    return ControlSequence(enforce_state_invariants(vals), 25.0)
+
+
+def test_invert_round_trip_random_states():
+    m = default_model()
+    seq = random_states()
     _, k3 = map_sequence(seq, m)
     rec = invert_controls(k3, baseline_from_model(m), m)
     assert np.max(np.abs(rec.values - seq.values)) <= 1e-3
@@ -264,3 +279,160 @@ def test_invert_degenerate_frame_errors():
     frames = np.zeros((1, 62, 3))
     with pytest.raises(ValueError, match="frame 1"):
         invert_controls(KeypointSequence(frames, 25.0), baseline_from_model(m), m)
+
+
+def test_invert_2d_keypoints_rejected():
+    k2, _ = map_sequence(ControlSequence(np.zeros((2, N_CHANNELS)), 25.0))
+    with pytest.raises(ValueError, match="needs 3-D keypoints, got 2-D"):
+        invert_controls(k2, baseline_from_model())
+
+
+def test_kabsch_stack_matches_per_pair():
+    rng = np.random.default_rng(7)
+    source = rng.normal(size=(9, 40, 3))
+    target = rng.normal(size=(9, 40, 3))
+    target[::2] = -target[::2]  # reflections: the det sign flips the last axis
+    stacked = library._kabsch(source, target)
+    assert stacked.shape == (9, 3, 3)
+    assert np.array_equal(stacked, [library._kabsch(s, t) for s, t in zip(source, target)])
+    shared = library._kabsch(source[0], target)  # one source broadcast over the stack
+    assert np.array_equal(shared, [library._kabsch(source[0], t) for t in target])
+
+
+def invert_loop(keypoints, baseline, model=None, max_iter=200, tol=1e-12):
+    """The frame-by-frame inversion: the reference the batched one must equal
+    bit for bit, with the same NNLS calls."""
+    model = model or default_model()
+    base = baseline.points
+    c = base.mean(axis=0)
+    base_c = base - c
+
+    A = model.au_bases[:, library._SHAPE_IDS, :].reshape(N_AU, -1).T
+    Q, Rqr = np.linalg.qr(A)
+    pinv = np.linalg.pinv(A)
+    gaze_step = np.array(
+        [model.gaze_bases[i, library._GAZE_IDS, :].mean(axis=0) for i in range(N_GAZE)]
+    )
+    h_step = abs(gaze_step[GAZE_NAMES.index("gaze_right"), 0])
+    v_step = abs(gaze_step[GAZE_NAMES.index("gaze_up"), 1])
+
+    anchors = library._anchor_points(model)
+    out = np.zeros((len(keypoints), N_CHANNELS))
+    for t in range(len(keypoints)):
+        obs = keypoints.frames[t]
+        obs_c = obs - c
+        if np.linalg.norm(obs_c - obs_c.mean(axis=0), ord="fro") < 1e-9:
+            raise ValueError(f"frame {t + 1}: degenerate keypoint configuration")
+        vec = np.zeros(N_CHANNELS)
+        if anchors.size:
+            R = library._kabsch(base_c[anchors], obs_c[anchors])
+        else:
+            R = library._kabsch(base_c, obs_c)
+        converged = False
+        for _ in range(max_iter):
+            derot = obs_c @ R + c
+            residual = derot - base
+            b = residual[library._SHAPE_IDS].reshape(-1)
+            au = pinv @ b
+            if np.any(au < 0.0):
+                au, _ = library.nnls(Rqr, Q.T @ b)
+            au = np.clip(au, 0.0, 1.0)
+            g = residual[library._GAZE_IDS].mean(axis=0)
+            gaze = np.clip(
+                [
+                    max(-g[0], 0.0) / h_step,
+                    max(g[0], 0.0) / h_step,
+                    max(g[1], 0.0) / v_step,
+                    max(-g[1], 0.0) / v_step,
+                ],
+                0.0,
+                1.0,
+            )
+            yaw, pitch, roll = euler_from_rotation(R)
+            new_vec = np.concatenate([au, gaze, [yaw, pitch, roll]])
+            if np.max(np.abs(new_vec - vec)) < tol:
+                vec = new_vec
+                converged = True
+                break
+            vec = new_vec
+            disp = np.tensordot(au, model.au_bases, axes=1)
+            disp += np.tensordot(gaze, model.gaze_bases, axes=1)
+            R = library._kabsch(base_c + disp, obs_c)
+        if not converged:
+            raise ValueError(f"frame {t + 1}: control inversion did not converge")
+        out[t] = vec
+    return ControlSequence(out, keypoints.fps)
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """Counts calls to the NNLS solver as eyerig.library looks it up."""
+    calls = [0]
+    solver = library.nnls
+
+    def counted(*args):
+        calls[0] += 1
+        return solver(*args)
+
+    monkeypatch.setattr(library, "nnls", counted)
+    return calls
+
+
+def assert_matches_loop(k3, nnls_calls):
+    m = default_model()
+    base = baseline_from_model(m)
+    want = invert_loop(k3, base, m)
+    loop_calls, nnls_calls[0] = nnls_calls[0], 0
+    got = invert_controls(k3, base, m)
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()  # signed zeros too, as the file writes them
+    assert nnls_calls[0] == loop_calls
+    return loop_calls
+
+
+def test_invert_equals_loop_neutral(nnls_calls):
+    assert_matches_loop(KeypointSequence(default_model().template[None, :, :], 25.0), nnls_calls)
+
+
+@pytest.mark.parametrize("states", [rotation_states, random_states])
+def test_invert_equals_loop_mapped(states, nnls_calls):
+    assert_matches_loop(map_sequence(states())[1], nnls_calls)
+
+
+def test_invert_equals_loop_compiled_trace(nnls_calls):
+    # a 200-frame compile whose lid/brow least squares goes negative on some
+    # frames and not on others: fewer NNLS calls than frames, but some
+    lib = build_demo_library(25.0)
+    instructions = "raise your eyebrows"
+    p = plan("disgust", 200, 25.0, instructions=instructions)
+    seq = refine(compose(p, lib, sample_k=1, seed=0), p, lib=lib, instructions=instructions).sequence
+    calls = assert_matches_loop(map_sequence(seq)[1], nnls_calls)
+    assert 0 < calls < len(seq)
+
+
+def test_invert_equals_loop_all_point_seed(monkeypatch, nnls_calls):
+    monkeypatch.setattr(library, "_anchor_points", lambda model: np.empty(0, dtype=np.intp))
+    assert_matches_loop(map_sequence(random_states())[1], nnls_calls)
+
+
+def test_invert_degenerate_frames_checked_before_iterating():
+    m = default_model()
+    frames = map_sequence(random_states())[1].frames[:5].copy()
+    frames[2] = 0.0
+    k3 = KeypointSequence(frames, 25.0)
+    # frame 1 cannot converge in one iteration, but frame 3 is named first
+    with pytest.raises(ValueError, match=r"^frame 3: degenerate"):
+        invert_controls(k3, baseline_from_model(m), m, max_iter=1)
+
+
+def test_invert_non_convergence_names_lowest_frame():
+    m = default_model()
+    moved = map_sequence(random_states())[1].frames
+    frames = np.stack([m.template, m.template, moved[0], m.template, moved[1]])
+    k3 = KeypointSequence(frames, 25.0)
+    base = baseline_from_model(m)
+    # neutral frames converge in one iteration; frames 3 and 5 do not
+    with pytest.raises(ValueError, match=r"^frame 3: control inversion did not converge"):
+        invert_loop(k3, base, m, max_iter=1)
+    with pytest.raises(ValueError, match=r"^frame 3: control inversion did not converge"):
+        invert_controls(k3, base, m, max_iter=1)

@@ -282,3 +282,22 @@ def test_keypoint_json_wrong_dims_names_file_and_dims(tmp_path, dims, found):
 def test_keypoint_sequence_rejects_bad_shapes(shape):
     with pytest.raises(ValueError, match="keypoint sequence must have shape"):
         KeypointSequence(np.zeros(shape), 25.0)
+
+
+def test_euler_stack_matches_per_matrix():
+    rng = np.random.default_rng(8)
+    angles = rng.uniform((-90, -60, -45), (90, 60, 45), (2, 25, 3))
+    R = rotation_matrix(*np.moveaxis(angles, -1, 0))
+    stacked = euler_from_rotation(R)
+    assert [a.shape for a in stacked] == [(2, 25)] * 3
+    for i in np.ndindex(2, 25):
+        assert np.array_equal([a[i] for a in stacked], euler_from_rotation(R[i]))
+    single = euler_from_rotation(R[0, 0])
+    assert len(single) == 3 and all(np.ndim(a) == 0 for a in single)
+
+
+def test_euler_rejects_non_3x3():
+    with pytest.raises(ValueError, match="3x3"):
+        euler_from_rotation(np.eye(4))
+    with pytest.raises(ValueError, match="3x3"):
+        euler_from_rotation(np.ones(3))
