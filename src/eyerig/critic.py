@@ -1,7 +1,9 @@
 """Physiological and semantic critique of control sequences, with repair."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +48,8 @@ _COACTIVATION_PAIRS = (
     ("AU5_L", "AU43_L"),
     ("AU5_R", "AU43_R"),
 )
+_LIDS = [channel_index("AU43_L"), channel_index("AU43_R")]
+
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -53,6 +57,7 @@ class RuleSet:
 
     The per-frame gaze velocity cap is stated at reference_fps and rescaled
     to the sequence rate, so the physical speed limit is rate-independent.
+    Every field is a finite, non-negative number (event_edge_guard an int).
     """
 
     blink_min_ms: float = 100.0
@@ -74,6 +79,17 @@ class RuleSet:
     event_edge_guard: int = 2
     instruction_presence_min: float = 0.1
     signature_min: float = 0.1
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            x = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            # compared, not converted, so an int beyond float range fails here
+            if isinstance(x, bool) or not isinstance(x, kind) or not 0 <= x <= sys.float_info.max:
+                what = "integer" if kind is numbers.Integral else "number"
+                raise ValueError(f"{f.name} must be a finite non-negative {what}, got {x!r}")
+        if self.reference_fps == 0:
+            raise ValueError("reference_fps must be positive, got 0")
 
     def velocity_limit(self, fps: float) -> float:
         return self.gaze_velocity_limit * self.reference_fps / fps
@@ -153,207 +169,137 @@ def _frames_for_max_ms(ms: float, fps: float) -> int:
     return max(1, math.floor(_ms_frames(ms, fps) + 1e-9))
 
 
+def _closure(v: np.ndarray) -> np.ndarray:
+    """Both-lid closure per frame: the lower of the two AU43 tracks."""
+    return v[:, _LIDS].min(axis=1)
+
+
+def _peak(v: np.ndarray, name: str) -> float:
+    return float(v[:, channel_index(name)].max())
+
+
+# Physiology checks.  Each takes (values, fps, exempt, rules), where exempt
+# marks the frames whose plan events exempt the check's rule, and yields
+# (channel, message, run, edit) per finding: run is the 0-based inclusive
+# span whose start is the violation's frame, and edit is None (new targets
+# needed) or (kind, channel, run, note, value) for an EditSuggestion.
+
+
+def _blink_lengths(v, fps, exempt, rules):
+    """Each closure episode lasts [blink_min_ms, cap]; exemption raises the cap."""
+    for a, b in _runs(_closure(v) > rules.closure_threshold):
+        ms = (b - a + 1) * 1000.0 / fps
+        cap = rules.blink_exempt_max_ms if exempt[a : b + 1].any() else rules.blink_max_ms
+        if ms < rules.blink_min_ms:
+            floor = f"{rules.blink_min_ms:.0f} ms"
+            yield "AU43", f"closure of {ms:.0f} ms is shorter than {floor}", (a, b), (
+                "stretch_blink", "AU43", (a, b), f"hold closure for {floor}", 0.0
+            )
+        elif ms > cap:
+            yield "AU43", f"closure of {ms:.0f} ms exceeds {cap:.0f} ms", (a, b), (
+                "truncate_blink", "AU43", (a, b), f"reopen after {cap:.0f} ms", cap
+            )
+
+
+def _blink_gaps(v, fps, exempt, rules):
+    """Open time between consecutive closure episodes."""
+    episodes = _runs(_closure(v) > rules.closure_threshold)
+    for (_, b1), (a2, b2) in zip(episodes, episodes[1:]):
+        gap_ms = (a2 - b1 - 1) * 1000.0 / fps
+        if gap_ms < rules.interblink_min_ms and not exempt[a2]:
+            need = f"need {rules.interblink_min_ms:.0f} ms"
+            yield "AU43", f"only {gap_ms:.0f} ms between closures, {need}", (a2, b2), (
+                "suppress_blink", "AU43", (a2, b2), "drop the second closure", 0.0
+            )
+
+
+def _lid_asymmetry(v, fps, exempt, rules):
+    """Lids far apart outside exempted (wink) spans."""
+    apart = np.abs(v[:, _LIDS[0]] - v[:, _LIDS[1]]) > rules.asymmetry_limit
+    for run in _runs(apart & ~exempt):
+        yield "AU43", f"lid closure differs by more than {rules.asymmetry_limit:g}", run, (
+            "balance_lids", "AU43", run, "raise the lower lid toward the higher one", 0.0
+        )
+
+
+def _antagonists(v, fps, exempt, rules):
+    """Antagonist pairs both strongly active on one side."""
+    limit = rules.coactivation_limit
+    for first, second in _COACTIVATION_PAIRS:
+        both = (v[:, channel_index(first)] > limit) & (v[:, channel_index(second)] > limit)
+        pair = f"{first}+{second}"
+        for run in _runs(both & ~exempt):
+            yield pair, f"{first} and {second} both exceed {limit:g}", run, (
+                "reduce_coactivation", pair, run, "lower the weaker of the pair", 0.0
+            )
+
+
+def _saccades(v, fps, exempt, rules):
+    """Per-frame gaze speed under the cap, and every excursion moves fast enough."""
+    n = len(v)
+    limit = rules.velocity_limit(fps)
+    for name in GAZE_NAMES:
+        g = v[:, channel_index(name)]
+        fast = np.zeros(n, dtype=bool)
+        fast[1:] = np.abs(np.diff(g)) > limit + 1e-12
+        for run in _runs(fast & ~exempt):
+            yield name, f"velocity above {limit:g} per frame", run, (
+                "slew_limit", name, (0, n - 1), f"cap per-frame change at {limit:g}", 0.0
+            )
+        for a, b in _runs(g > rules.excursion_floor):
+            if exempt[a : b + 1].all():
+                continue
+            lo_edge = max(a - 1, 0)
+            peak_delta = float(np.abs(np.diff(g[lo_edge : b + 1])).max()) if b > lo_edge else 0.0
+            needed = rules.excursion_coeff * float(g[a : b + 1].max()) / (b - a + 1)
+            if peak_delta + 1e-12 < needed:
+                # constant plateaus need new targets, not edits
+                message = f"sluggish excursion: peak velocity {peak_delta:g} below {needed:g}"
+                yield name, message, (a, b), None
+
+
+def _head_support(v, fps, exempt, rules):
+    """Gaze held strongly for longer than sustain_ms needs a head deflection."""
+    n = len(v)
+    sustain = math.floor(_ms_frames(rules.sustain_ms, fps) + 1e-9) + 1
+    window = _frames_for_min_ms(rules.coordination_window_ms, fps)
+    deg = rules.head_deflection_deg
+    for name, head_name, sign in DIRECTIONS.values():
+        h = v[:, channel_index(head_name)]
+        for a, b in _runs(v[:, channel_index(name)] > rules.closure_threshold):
+            if (b - a + 1) < sustain or exempt[a]:
+                continue
+            if (sign * h[a : min(a + window, n - 1) + 1]).max() < deg:
+                target = sign * (deg + 1.0)
+                message = f"sustained {name} without a matching {head_name} move of {deg:g} deg"
+                yield name, message, (a, b), (
+                    "head_ramp", head_name, (a, b), f"ramp {head_name} to {target:g} deg", target
+                )
+
+
+# Rules in report order; a rule's name is also the plan exemption that lifts it.
+_PHYSIOLOGY = {
+    "blink_duration": _blink_lengths,
+    "interblink_interval": _blink_gaps,
+    "blink_asymmetry": _lid_asymmetry,
+    "au_coactivation": _antagonists,
+    "gaze_main_sequence": _saccades,
+    "gaze_head_coordination": _head_support,
+}
+
+
 def _physiology(
     seq: ControlSequence, p: Plan | None, rules: RuleSet
 ) -> list[tuple[Violation, EditSuggestion | None]]:
-    v = seq.values
-    n = len(seq)
-    fps = seq.fps
     out: list[tuple[Violation, EditSuggestion | None]] = []
-    l43 = v[:, channel_index("AU43_L")]
-    r43 = v[:, channel_index("AU43_R")]
-    closure = np.minimum(l43, r43)
-    episodes = _runs(closure > rules.closure_threshold)
-
-    # blink_duration: each closure episode within [min, cap] milliseconds
-    exempt_blink = _exempt_mask(p, "blink_duration", n)
-    for a, b in episodes:
-        dur_ms = (b - a + 1) * 1000.0 / fps
-        cap = (
-            rules.blink_exempt_max_ms
-            if exempt_blink[a : b + 1].any()
-            else rules.blink_max_ms
-        )
-        if dur_ms < rules.blink_min_ms:
-            out.append(
-                (
-                    Violation(
-                        "blink_duration",
-                        "AU43",
-                        f"closure of {dur_ms:.0f} ms is shorter than "
-                        f"{rules.blink_min_ms:.0f} ms",
-                        frame=a + 1,
-                    ),
-                    EditSuggestion(
-                        "stretch_blink", "blink_duration", "AU43", a + 1, b + 1,
-                        note=f"hold closure for {rules.blink_min_ms:.0f} ms",
-                    ),
-                )
-            )
-        elif dur_ms > cap:
-            out.append(
-                (
-                    Violation(
-                        "blink_duration",
-                        "AU43",
-                        f"closure of {dur_ms:.0f} ms exceeds {cap:.0f} ms",
-                        frame=a + 1,
-                    ),
-                    EditSuggestion(
-                        "truncate_blink", "blink_duration", "AU43", a + 1, b + 1,
-                        note=f"reopen after {cap:.0f} ms", value=cap,
-                    ),
-                )
-            )
-
-    # interblink_interval: open time between consecutive episodes
-    exempt_gap = _exempt_mask(p, "interblink_interval", n)
-    for (a1, b1), (a2, b2) in zip(episodes, episodes[1:]):
-        gap_ms = (a2 - b1 - 1) * 1000.0 / fps
-        if gap_ms < rules.interblink_min_ms and not exempt_gap[a2]:
-            out.append(
-                (
-                    Violation(
-                        "interblink_interval",
-                        "AU43",
-                        f"only {gap_ms:.0f} ms between closures, need "
-                        f"{rules.interblink_min_ms:.0f} ms",
-                        frame=a2 + 1,
-                    ),
-                    EditSuggestion(
-                        "suppress_blink", "interblink_interval", "AU43",
-                        a2 + 1, b2 + 1, note="drop the second closure",
-                    ),
-                )
-            )
-
-    # blink_asymmetry: lids far apart outside exempted (wink) spans
-    asym = np.abs(l43 - r43) > rules.asymmetry_limit
-    asym &= ~_exempt_mask(p, "blink_asymmetry", n)
-    for a, b in _runs(asym):
-        out.append(
-            (
-                Violation(
-                    "blink_asymmetry",
-                    "AU43",
-                    f"lid closure differs by more than {rules.asymmetry_limit:g}",
-                    frame=a + 1,
-                ),
-                EditSuggestion(
-                    "balance_lids", "blink_asymmetry", "AU43", a + 1, b + 1,
-                    note="raise the lower lid toward the higher one",
-                ),
-            )
-        )
-
-    # au_coactivation: antagonist pairs both strongly active on one side
-    exempt_co = _exempt_mask(p, "au_coactivation", n)
-    for first, second in _COACTIVATION_PAIRS:
-        fa = v[:, channel_index(first)]
-        fb = v[:, channel_index(second)]
-        both = (fa > rules.coactivation_limit) & (fb > rules.coactivation_limit)
-        both &= ~exempt_co
-        for a, b in _runs(both):
-            pair = f"{first}+{second}"
-            out.append(
-                (
-                    Violation(
-                        "au_coactivation",
-                        pair,
-                        f"{first} and {second} both exceed "
-                        f"{rules.coactivation_limit:g}",
-                        frame=a + 1,
-                    ),
-                    EditSuggestion(
-                        "reduce_coactivation", "au_coactivation", pair,
-                        a + 1, b + 1, note="lower the weaker of the pair",
-                    ),
-                )
-            )
-
-    # gaze_main_sequence: per-frame speed cap, and excursions must move
-    limit = rules.velocity_limit(fps)
-    exempt_gaze = _exempt_mask(p, "gaze_main_sequence", n)
-    for name in GAZE_NAMES:
-        g = v[:, channel_index(name)]
-        if n > 1:
-            deltas = np.abs(np.diff(g))
-            fast = np.zeros(n, dtype=bool)
-            fast[1:] = deltas > limit + 1e-12
-            fast &= ~exempt_gaze
-            for a, b in _runs(fast):
-                out.append(
-                    (
-                        Violation(
-                            "gaze_main_sequence",
-                            name,
-                            f"velocity above {limit:g} per frame",
-                            frame=a + 1,
-                        ),
-                        EditSuggestion(
-                            "slew_limit", "gaze_main_sequence", name, 1, n,
-                            note=f"cap per-frame change at {limit:g}",
-                        ),
-                    )
-                )
-        for a, b in _runs(g > rules.excursion_floor):
-            if exempt_gaze[a : b + 1].all():
-                continue
-            amplitude = float(g[a : b + 1].max())
-            duration = b - a + 1
-            lo_edge = max(a - 1, 0)
-            peak_delta = (
-                float(np.abs(np.diff(g[lo_edge : b + 1])).max())
-                if b > lo_edge
-                else 0.0
-            )
-            needed = rules.excursion_coeff * amplitude / duration
-            if peak_delta + 1e-12 < needed:
-                out.append(
-                    (
-                        Violation(
-                            "gaze_main_sequence",
-                            name,
-                            f"sluggish excursion: peak velocity {peak_delta:g} "
-                            f"below {needed:g}",
-                            frame=a + 1,
-                        ),
-                        None,  # constant plateaus need new targets, not edits
-                    )
-                )
-
-    # gaze_head_coordination: sustained strong gaze needs a head deflection
-    # (strictly longer than sustain_ms)
-    sustain_frames = math.floor(_ms_frames(rules.sustain_ms, fps) + 1e-9) + 1
-    window = _frames_for_min_ms(rules.coordination_window_ms, fps)
-    exempt_coord = _exempt_mask(p, "gaze_head_coordination", n)
-    for name, head_name, sign in DIRECTIONS.values():
-        g = v[:, channel_index(name)]
-        h = v[:, channel_index(head_name)]
-        for a, b in _runs(g > rules.closure_threshold):
-            if (b - a + 1) < sustain_frames or exempt_coord[a]:
-                continue
-            w_end = min(a + window, n - 1)
-            deflect = sign * h[a : w_end + 1]
-            if deflect.max() < rules.head_deflection_deg:
-                out.append(
-                    (
-                        Violation(
-                            "gaze_head_coordination",
-                            name,
-                            f"sustained {name} without a matching {head_name} "
-                            f"move of {rules.head_deflection_deg:g} deg",
-                            frame=a + 1,
-                        ),
-                        EditSuggestion(
-                            "head_ramp", "gaze_head_coordination", head_name,
-                            a + 1, b + 1,
-                            note=f"ramp {head_name} to "
-                            f"{sign * (rules.head_deflection_deg + 1.0):g} deg",
-                            value=sign * (rules.head_deflection_deg + 1.0),
-                        ),
-                    )
-                )
+    for rule, check in _PHYSIOLOGY.items():
+        exempt = _exempt_mask(p, rule, len(seq))
+        for channel, message, (a, _), edit in check(seq.values, seq.fps, exempt, rules):
+            fix = None
+            if edit is not None:
+                kind, target, (lo, hi), note, value = edit
+                fix = EditSuggestion(kind, rule, target, lo + 1, hi + 1, note, value)
+            out.append((Violation(rule, channel, message, frame=a + 1), fix))
     return out
 
 
@@ -374,146 +320,98 @@ def _event_core(ev_start: int, ev_end: int, guard: int, n: int) -> tuple[int, in
     return a, b
 
 
+# Semantic checks yield (channel, message, frame) per finding; none has a
+# local edit, so any of them sends the verdict to revise_plan.
+
+
+def _target_misses(v, p, rules):
+    """Each event reaches its targets inside its seam-guarded core."""
+    for k, ev in enumerate(p.events):
+        a, b = _event_core(ev.start_frame, ev.end_frame, rules.event_edge_guard, len(v))
+        for name, (lo, hi) in ev.channel_targets.items():
+            track = v[a : b + 1, channel_index(name)]
+            if name in HEAD_NAMES:
+                tol = rules.head_target_tolerance_deg
+                if not ((track >= lo - tol) & (track <= hi + tol)).any():
+                    message = f"events[{k}] never brings {name} near [{lo:g}, {hi:g}] deg"
+                    yield name, message, ev.start_frame
+                continue
+            peak = float(track.max())
+            tol = rules.event_target_tolerance
+            if peak < lo - tol or peak > hi + tol:
+                message = f"events[{k}] peak {peak:.3f} for {name} outside [{lo:g}, {hi:g}]"
+                yield name, message, ev.start_frame
+
+
+def _instruction_misses(v, instructions, rules):
+    """Every instructed gaze, head, brow, blink and wink move is realized."""
+    intent = parse_instructions(instructions)
+    floor = rules.instruction_presence_min
+    for d in intent.gaze:
+        name = DIRECTIONS[d][0]
+        peak = _peak(v, name)
+        if peak < floor:
+            yield name, f"instructed gaze {d} never rises above {floor:g}", None
+        elif _peak(v, opposing_gaze(name)) > peak:
+            yield name, f"gaze moves opposite to the instructed {d}", None
+    deg = rules.head_deflection_deg
+    for d in intent.head:
+        _, head_name, sign = DIRECTIONS[d]
+        if (sign * v[:, channel_index(head_name)]).max() < deg:
+            yield head_name, f"instructed head {d} never reaches {deg:g} deg", None
+    if intent.brow is not None:
+        sides = {"both": ("AU2_L", "AU2_R"), "left": ("AU2_L",), "right": ("AU2_R",)}
+        for name in sides[intent.brow]:
+            if _peak(v, name) < floor:
+                yield name, "instructed brow raise is absent", None
+    if intent.blink and not (_closure(v) > rules.closure_threshold).any():
+        yield "AU43", "instructed blink is absent", None
+    if intent.wink is not None:
+        name = "AU43_L" if intent.wink == "left" else "AU43_R"
+        if _peak(v, name) <= rules.closure_threshold:
+            yield name, "instructed wink is absent", None
+
+
+def _signature_misses(v, p, rules, templates):
+    """The label's committed channels, from the plan's own table, are active."""
+    if p.label not in (CATEGORIES if templates is None else templates):
+        return
+    for name in signature_channels(p.label, templates):
+        if _peak(v, name) < rules.signature_min:
+            message = (
+                f"label {p.label!r} commits to {name} but it stays "
+                f"below {rules.signature_min:g}"
+            )
+            yield name, message, None
+
+
 def check_semantic(
     seq: ControlSequence,
     p: Plan,
     rules: RuleSet | None = None,
     instructions: str = "",
+    templates=None,
 ) -> list[Violation]:
     """Does the sequence do what the plan and instructions asked for?
 
     Checks: structural agreement with the plan (event_order), per-event target
     attainment inside seam-guarded cores (event_target), instruction keywords
     realized (instruction_consistency), and the label's committed channels
-    actually active (label_signature).
+    actually active (label_signature).  A custom planner table in `templates`
+    supplies the signatures of its own labels.
     """
     rules = rules or RuleSet()
     v = seq.values
-    n = len(seq)
-    out: list[Violation] = []
-
-    plan_report = validate_plan(p)
-    for pv in plan_report.violations:
-        out.append(Violation("event_order", pv.channel, pv.message, pv.frame))
-    if n != p.total_frames:
-        out.append(
-            Violation(
-                "event_order",
-                "",
-                f"sequence has {n} frames, plan covers {p.total_frames}",
-            )
-        )
-    if not plan_report.ok or n != p.total_frames:
-        return out
-
-    for k, ev in enumerate(p.events):
-        a, b = _event_core(ev.start_frame, ev.end_frame, rules.event_edge_guard, n)
-        for name, (lo, hi) in ev.channel_targets.items():
-            j = channel_index(name)
-            track = v[a : b + 1, j]
-            if name in HEAD_NAMES:
-                tol = rules.head_target_tolerance_deg
-                near = (track >= lo - tol) & (track <= hi + tol)
-                if not near.any():
-                    out.append(
-                        Violation(
-                            "event_target",
-                            name,
-                            f"events[{k}] never brings {name} near "
-                            f"[{lo:g}, {hi:g}] deg",
-                            frame=ev.start_frame,
-                        )
-                    )
-            else:
-                peak = float(track.max())
-                tol = rules.event_target_tolerance
-                if peak < lo - tol or peak > hi + tol:
-                    out.append(
-                        Violation(
-                            "event_target",
-                            name,
-                            f"events[{k}] peak {peak:.3f} for {name} outside "
-                            f"[{lo:g}, {hi:g}]",
-                            frame=ev.start_frame,
-                        )
-                    )
-
-    intent = parse_instructions(instructions)
-    floor = rules.instruction_presence_min
-    for d in intent.gaze:
-        name = DIRECTIONS[d][0]
-        peak = float(v[:, channel_index(name)].max())
-        opp_peak = float(v[:, channel_index(opposing_gaze(name))].max())
-        if peak < floor:
-            out.append(
-                Violation(
-                    "instruction_consistency",
-                    name,
-                    f"instructed gaze {d} never rises above {floor:g}",
-                )
-            )
-        elif opp_peak > peak:
-            out.append(
-                Violation(
-                    "instruction_consistency",
-                    name,
-                    f"gaze moves opposite to the instructed {d}",
-                )
-            )
-    for d in intent.head:
-        _, head_name, sign = DIRECTIONS[d]
-        deflect = sign * v[:, channel_index(head_name)]
-        if deflect.max() < rules.head_deflection_deg:
-            out.append(
-                Violation(
-                    "instruction_consistency",
-                    head_name,
-                    f"instructed head {d} never reaches "
-                    f"{rules.head_deflection_deg:g} deg",
-                )
-            )
-    if intent.brow is not None:
-        sides = {"both": ("AU2_L", "AU2_R"), "left": ("AU2_L",), "right": ("AU2_R",)}
-        for name in sides[intent.brow]:
-            if float(v[:, channel_index(name)].max()) < floor:
-                out.append(
-                    Violation(
-                        "instruction_consistency",
-                        name,
-                        "instructed brow raise is absent",
-                    )
-                )
-    if intent.blink:
-        closure = np.minimum(
-            v[:, channel_index("AU43_L")], v[:, channel_index("AU43_R")]
-        )
-        if not (closure > rules.closure_threshold).any():
-            out.append(
-                Violation(
-                    "instruction_consistency", "AU43", "instructed blink is absent"
-                )
-            )
-    if intent.wink is not None:
-        name = "AU43_L" if intent.wink == "left" else "AU43_R"
-        if float(v[:, channel_index(name)].max()) <= rules.closure_threshold:
-            out.append(
-                Violation(
-                    "instruction_consistency", name, "instructed wink is absent"
-                )
-            )
-
-    if p.label in CATEGORIES:
-        for name in signature_channels(p.label):
-            if float(v[:, channel_index(name)].max()) < rules.signature_min:
-                out.append(
-                    Violation(
-                        "label_signature",
-                        name,
-                        f"label {p.label!r} commits to {name} but it stays "
-                        f"below {rules.signature_min:g}",
-                    )
-                )
-    return out
+    order = [(pv.channel, pv.message, pv.frame) for pv in validate_plan(p).violations]
+    if len(v) != p.total_frames:
+        order.append(("", f"sequence has {len(v)} frames, plan covers {p.total_frames}", None))
+    # a sequence that does not fit its plan leaves nothing else to check
+    checks = {"event_order": order} if order else {
+        "event_target": _target_misses(v, p, rules),
+        "instruction_consistency": _instruction_misses(v, instructions, rules),
+        "label_signature": _signature_misses(v, p, rules, templates),
+    }
+    return [Violation(rule, *found) for rule, findings in checks.items() for found in findings]
 
 
 def critique(
@@ -521,57 +419,41 @@ def critique(
     p: Plan,
     rules: RuleSet | None = None,
     instructions: str = "",
+    templates=None,
 ) -> CriticReport:
     """Full critique: physiology plus semantics, folded into one verdict."""
     rules = rules or RuleSet()
-    rich = _physiology(seq, p, rules)
-    violations = [v for v, _ in rich]
-    suggestions = [s for _, s in rich if s is not None]
-    escalate = any(s is None for _, s in rich)
-    sem = check_semantic(seq, p, rules, instructions)
-    violations.extend(sem)
-    escalate = escalate or bool(sem)
-    if not violations:
+    findings = _physiology(seq, p, rules)
+    findings += [(v, None) for v in check_semantic(seq, p, rules, instructions, templates)]
+    if not findings:
         verdict = "pass"
-    elif escalate:
+    elif any(edit is None for _, edit in findings):
         verdict = "revise_plan"
     else:
         verdict = "revise_composition"
-    return CriticReport(verdict, tuple(violations), tuple(suggestions))
+    violations = tuple(v for v, _ in findings)
+    return CriticReport(verdict, violations, tuple(e for _, e in findings if e is not None))
 
 
 def _apply_one(v: np.ndarray, s: EditSuggestion, rules: RuleSet, fps: float) -> None:
     n = len(v)
     a = s.start_frame - 1
     b = min(s.end_frame, n) - 1
-    li = channel_index("AU43_L")
-    ri = channel_index("AU43_R")
     open_level = rules.closure_threshold - 0.05
     if s.kind == "stretch_blink":
-        need = _frames_for_min_ms(rules.blink_min_ms, fps)
-        end = min(a + need - 1, n - 1)
-        peak_l = float(v[a : b + 1, li].max())
-        peak_r = float(v[a : b + 1, ri].max())
-        v[a : end + 1, li] = np.maximum(v[a : end + 1, li], peak_l)
-        v[a : end + 1, ri] = np.maximum(v[a : end + 1, ri], peak_r)
+        end = min(a + _frames_for_min_ms(rules.blink_min_ms, fps) - 1, n - 1)
+        peak = v[a : b + 1, _LIDS].max(axis=0)
+        v[a : end + 1, _LIDS] = np.maximum(v[a : end + 1, _LIDS], peak)
     elif s.kind == "truncate_blink":
-        cap_ms = s.value if s.value > 0 else rules.blink_max_ms
-        cap = _frames_for_max_ms(cap_ms, fps)
-        cut = a + cap
-        if cut <= b:
-            v[cut : b + 1, li] = np.minimum(v[cut : b + 1, li], open_level)
-            v[cut : b + 1, ri] = np.minimum(v[cut : b + 1, ri], open_level)
+        cut = a + _frames_for_max_ms(s.value if s.value > 0 else rules.blink_max_ms, fps)
+        v[cut : b + 1, _LIDS] = np.minimum(v[cut : b + 1, _LIDS], open_level)
     elif s.kind == "suppress_blink":
-        v[a : b + 1, li] = np.minimum(v[a : b + 1, li], open_level)
-        v[a : b + 1, ri] = np.minimum(v[a : b + 1, ri], open_level)
+        v[a : b + 1, _LIDS] = np.minimum(v[a : b + 1, _LIDS], open_level)
     elif s.kind == "balance_lids":
-        lo_side = np.minimum(v[a : b + 1, li], v[a : b + 1, ri])
-        hi_side = np.maximum(v[a : b + 1, li], v[a : b + 1, ri])
-        floor_val = hi_side - (rules.asymmetry_limit - 0.05)
-        lifted = np.maximum(lo_side, floor_val)
-        left_is_low = v[a : b + 1, li] <= v[a : b + 1, ri]
-        v[a : b + 1, li] = np.where(left_is_low, lifted, v[a : b + 1, li])
-        v[a : b + 1, ri] = np.where(~left_is_low, lifted, v[a : b + 1, ri])
+        lids = v[a : b + 1, _LIDS]
+        lifted = np.maximum(lids.min(axis=1), lids.max(axis=1) - (rules.asymmetry_limit - 0.05))
+        lids[np.arange(len(lids)), lids.argmin(axis=1)] = lifted  # ties lift the left lid
+        v[a : b + 1, _LIDS] = lids
     elif s.kind == "reduce_coactivation":
         first, second = s.channel.split("+")
         fi = channel_index(first)
@@ -584,22 +466,17 @@ def _apply_one(v: np.ndarray, s: EditSuggestion, rules: RuleSet, fps: float) -> 
     elif s.kind == "slew_limit":
         j = channel_index(s.channel)
         limit = rules.velocity_limit(fps)
-        for t in range(1, n):
+        for t in range(1, n):  # a recurrence: each frame is capped from the capped last one
             lo = v[t - 1, j] - limit
             hi = v[t - 1, j] + limit
             v[t, j] = min(max(v[t, j], lo), hi)
         np.clip(v[:, j], 0.0, 1.0, out=v[:, j])
     elif s.kind == "head_ramp":
         j = channel_index(s.channel)
-        target = s.value
-        window = _frames_for_min_ms(rules.coordination_window_ms, fps)
-        reach = min(a + window, b)
-        start_val = v[a, j]
-        for t in range(a, reach + 1):
-            alpha = (t - a) / max(reach - a, 1)
-            v[t, j] = (1.0 - alpha) * start_val + alpha * target
-        if reach < b:
-            v[reach + 1 : b + 1, j] = target
+        reach = min(a + _frames_for_min_ms(rules.coordination_window_ms, fps), b)
+        alpha = np.arange(reach - a + 1) / max(reach - a, 1)
+        v[a : reach + 1, j] = (1.0 - alpha) * v[a, j] + alpha * s.value
+        v[reach + 1 : b + 1, j] = s.value
     else:
         raise ValueError(f"unknown edit kind {s.kind!r}")
 
@@ -640,8 +517,8 @@ def refine(
     the composition budget.  When budgets run out the last critique is
     returned with verdict "fail" and the full audit history attached.
     A custom planner template table (see load_template_table) flows through
-    `templates` into each re-plan, and `sample_k`/`seed` into each recompose,
-    as in `compose`.
+    `templates` into each critique and re-plan, and `sample_k`/`seed` into
+    each recompose, as in `compose`.
     """
     rules = rules or RuleSet()
     current = seq
@@ -651,7 +528,7 @@ def refine(
     history: list[CriticReport] = []
     known_labels = CATEGORIES if templates is None else tuple(templates)
     while True:
-        report = critique(current, current_plan, rules, instructions)
+        report = critique(current, current_plan, rules, instructions, templates)
         history.append(report)
         if report.verdict == "pass":
             return RefineResult(current, report, tuple(history), comp_rounds, replans)

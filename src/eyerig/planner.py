@@ -698,10 +698,8 @@ def load_template_table(path) -> dict[str, tuple]:
     ratios must be positive and sum to 1.  Errors name the offending field,
     e.g. categories['x'][0].targets['AU2'].
 
-    The result drops into plan(..., templates=...).  label_signature critiques
-    still derive from the built-in table: a custom label skips them, and a
-    custom label that reuses a built-in name is judged by the built-in
-    signature.
+    The result drops into plan(..., templates=...) and critique(...,
+    templates=...).
     """
     with open(path) as fh:
         try:

@@ -359,6 +359,23 @@ class TestGlobalFlags:
         audit = json.loads((out / "custom_nod.audit.json").read_text())
         assert audit["verdict"] == "pass"
 
+    def test_table_redefining_builtin_label_uses_its_signature(self, tmp_path):
+        # the table's anger raises brows; the built-in anger's AU7/AU5 are not asked for
+        (tmp_path / "table.json").write_text(json.dumps({
+            "version": 1,
+            "categories": {"anger": [
+                {"ratio": 0.3, "semantics": "onset", "targets": {"AU1": [0.2, 0.4]}},
+                {"ratio": 0.7, "semantics": "brows raise",
+                 "targets": {"AU1": [0.4, 0.7], "AU2": [0.3, 0.6]}},
+            ]},
+        }))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"template_table_path": "table.json"}))
+        code = run("--config", cfg, "compile", "--label", "anger",
+                   "--frames", "80", "--out-dir", tmp_path)
+        audit = json.loads((tmp_path / "anger.audit.json").read_text())
+        assert (code, audit["verdict"], audit["violations"]) == (0, "pass", [])
+
     def test_table_target_beyond_float_range_is_refused(self, tmp_path, capsys):
         (tmp_path / "table.json").write_text(json.dumps({
             "version": 1,

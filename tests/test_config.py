@@ -92,6 +92,23 @@ class TestRejection:
         with pytest.raises(ValueError, match="unknown fields"):
             load_pipeline_config(_write(tmp_path, {"rules": {"bogus": 1}}))
 
+    @pytest.mark.parametrize(
+        "rules, field",
+        [
+            ({"blink_min_ms": "abc"}, "blink_min_ms"),
+            ({"event_edge_guard": 2.5}, "event_edge_guard"),
+            ({"closure_threshold": None}, "closure_threshold"),
+            ({"sustain_ms": 1e400}, "sustain_ms"),
+            ({"blink_max_ms": 10**400}, "blink_max_ms"),
+            ({"asymmetry_limit": -0.1}, "asymmetry_limit"),
+            ({"signature_min": True}, "signature_min"),
+            ({"reference_fps": 0}, "reference_fps"),
+        ],
+    )
+    def test_malformed_rule_value(self, tmp_path, rules, field):
+        with pytest.raises(ValueError, match=f"rules: {field} must be"):
+            load_pipeline_config(_write(tmp_path, {"rules": rules}))
+
     def test_unknown_guidance_field(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fields"):
             load_pipeline_config(_write(tmp_path, {"guidance": {"bogus": 1}}))
