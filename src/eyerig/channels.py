@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -126,6 +128,26 @@ def opposing_gaze(name: str) -> str:
         if name in (a, b):
             return b if name == a else a
     raise KeyError(name)
+
+
+def _number_problem(x, sign: str = "", integer: bool = False) -> str:
+    """What is wrong with a number field; empty if nothing.
+
+    The one number-field rule: a real number that is not a bool, an int when
+    `integer`, finite, and above its lower bound: none for sign "", 0 for
+    "non-negative" (inclusive) or "positive" (exclusive).  Bounds are compared,
+    not converted, so NaN and an int beyond float range both fail.
+    """
+    low = 0 if sign else -sys.float_info.max
+    if (
+        not isinstance(x, bool)
+        and isinstance(x, numbers.Integral if integer else numbers.Real)
+        and low <= x <= sys.float_info.max
+        and not (sign == "positive" and x == 0)
+    ):
+        return ""
+    what = " ".join(w for w in ("finite", sign, "integer" if integer else "number") if w)
+    return f"must be a {what}, got {x!r}"
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .mapper import (
     save_keypoints_json,
 )
 from .metrics import MetricConfig, au_f1, au_temp, eye_lmd, load_metric_config
-from .planner import CATEGORIES, plan
+from .planner import plan
 
 __all__ = ["main"]
 
@@ -183,11 +183,6 @@ def _parse_pose(text: str) -> tuple[float, float, float]:
 
 
 def _cmd_compile(args, cfg: PipelineConfig) -> int:
-    table = cfg.template_table
-    labels = tuple(table) if table is not None else CATEGORIES
-    if args.label not in labels:
-        known = ", ".join(sorted(labels))
-        raise _UsageError(f"unknown label {args.label!r}; supported: {known}")
     if args.frames is not None:
         total = args.frames
     else:
@@ -205,7 +200,7 @@ def _cmd_compile(args, cfg: PipelineConfig) -> int:
         cfg.fps,
         instructions=args.instructions,
         initial_pose=pose,
-        templates=table,
+        templates=cfg.template_table,
     )
     lib = load_library(args.library) if args.library else build_demo_library(cfg.fps)
     seq0 = compose(
@@ -226,7 +221,7 @@ def _cmd_compile(args, cfg: PipelineConfig) -> int:
         initial_pose=pose,
         weights=cfg.query_weights,
         blend_frames=cfg.blend_frames,
-        templates=table,
+        templates=cfg.template_table,
         sample_k=cfg.sample_k,
         seed=cfg.seed,
     )
@@ -321,7 +316,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
                 pred,
                 ref,
                 args.label,
-                channels=mcfg.channels_for(args.label),
+                channels=mcfg.channels_for(args.label, cfg.template_table),
             )
     else:
         pred = load_keypoints_json(args.pred, dims=2)

@@ -3,16 +3,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
-import numpy as np
-
-from .channels import N_CHANNELS
+from .channels import N_CHANNELS, _number_problem
 from .critic import RuleSet
 from .guidance import GuidanceParams
-from .planner import load_template_table
+from .planner import TEMPLATES, load_template_table
 
 __all__ = [
     "PipelineConfig",
@@ -22,12 +20,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs shared across subcommands, plus an optional planner table.
+    """Knobs shared across subcommands, plus the planner's stage table.
 
     query_weights of None means the library's default channel weighting.
     sample_k > 1 switches composition to a seeded draw from the top-k
-    retrieval hits; seed feeds that draw.  template_table holds the already
-    loaded custom stage table (load_pipeline_config resolves the path).
+    retrieval hits; seed feeds that draw.  template_table is the stage table
+    in force: the built-in TEMPLATES, or a loaded custom table
+    (load_pipeline_config resolves the path).
     """
 
     fps: float = 25.0
@@ -35,41 +34,40 @@ class PipelineConfig:
     query_weights: tuple[float, ...] | None = None
     rules: RuleSet = field(default_factory=RuleSet)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    template_table: dict | None = None
+    template_table: Mapping[str, tuple] = field(default_factory=lambda: TEMPLATES)
     seed: int | None = None
     sample_k: int = 1
 
     def __post_init__(self) -> None:
-        try:
-            fps_ok = self.fps > 0 and math.isfinite(self.fps)
-        except OverflowError:  # an int literal beyond float range
-            fps_ok = False
-        if not fps_ok:
-            raise ValueError(f"fps must be a finite positive number, got {self.fps!r}")
-        if self.blend_frames < 0:
-            raise ValueError(f"blend_frames must be >= 0, got {self.blend_frames}")
-        if self.sample_k < 1:
-            raise ValueError(f"sample_k must be >= 1, got {self.sample_k}")
-        if self.query_weights is not None:
-            w = tuple(float(x) for x in self.query_weights)
-            if len(w) != N_CHANNELS:
-                raise ValueError(
-                    f"query_weights needs {N_CHANNELS} values, got {len(w)}"
-                )
-            if any(not np.isfinite(x) or x < 0 for x in w):
-                raise ValueError("query_weights must be finite and non-negative")
-            object.__setattr__(self, "query_weights", w)
+        w = self.query_weights
+        if w is not None and not (isinstance(w, (list, tuple)) and len(w) == N_CHANNELS):
+            raise ValueError(f"query_weights must be a list of {N_CHANNELS} numbers, got {w!r}")
+        checks = [
+            ("fps", self.fps, "positive", False),
+            ("blend_frames", self.blend_frames, "non-negative", True),
+            ("sample_k", self.sample_k, "positive", True),
+        ]
+        if self.seed is not None:
+            checks.append(("seed", self.seed, "non-negative", True))
+        checks += [("query_weights", x, "non-negative", False) for x in w or ()]
+        for name, x, sign, integer in checks:
+            problem = _number_problem(x, sign, integer=integer)
+            if problem:
+                raise ValueError(f"{name} {problem}")
+        if w is not None:
+            object.__setattr__(self, "query_weights", tuple(float(x) for x in w))
 
 
-def _sub_config(cls, raw: dict, context: str):
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - valid
+def _sub_config(cls, raw, path: Path, name: str):
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path}: {name} must be an object")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"{context}: unknown fields {sorted(unknown)}")
+        raise ValueError(f"config {path} {name}: unknown fields {sorted(unknown)}")
     try:
         return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{context}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"config {path} {name}: {exc}") from None
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -101,21 +99,12 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ValueError(f"config {path}: unknown fields {sorted(unknown)}")
 
     kwargs: dict = {}
-    for name in ("fps", "blend_frames", "seed", "sample_k"):
+    for name in ("fps", "blend_frames", "query_weights", "seed", "sample_k"):
         if name in payload:
             kwargs[name] = payload[name]
-    if payload.get("query_weights") is not None:
-        kwargs["query_weights"] = tuple(payload["query_weights"])
-    if "rules" in payload:
-        if not isinstance(payload["rules"], dict):
-            raise ValueError(f"config {path}: rules must be an object")
-        kwargs["rules"] = _sub_config(RuleSet, payload["rules"], f"config {path} rules")
-    if "guidance" in payload:
-        if not isinstance(payload["guidance"], dict):
-            raise ValueError(f"config {path}: guidance must be an object")
-        kwargs["guidance"] = _sub_config(
-            GuidanceParams, payload["guidance"], f"config {path} guidance"
-        )
+    for name, cls in (("rules", RuleSet), ("guidance", GuidanceParams)):
+        if name in payload:
+            kwargs[name] = _sub_config(cls, payload[name], path, name)
     table_path = payload.get("template_table_path")
     if table_path is not None:
         if not isinstance(table_path, str):
@@ -128,5 +117,5 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         kwargs["template_table"] = load_template_table(resolved)
     try:
         return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"config {path}: {exc}") from None

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,13 +15,14 @@ from .channels import (
     HEAD_NAMES,
     ControlSequence,
     Violation,
+    _number_problem,
     channel_index,
     enforce_state_invariants,
     opposing_gaze,
 )
 from .composer import compose
 from .planner import (
-    CATEGORIES,
+    TEMPLATES,
     Plan,
     parse_instructions,
     plan as build_plan,
@@ -50,6 +50,10 @@ _COACTIVATION_PAIRS = (
 )
 _LIDS = [channel_index("AU43_L"), channel_index("AU43_R")]
 
+# refine's budgets: local-edit rounds per plan, and re-plans per clip.
+_MAX_COMPOSITION_ROUNDS = 3
+_MAX_REPLANS = 1
+
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -57,7 +61,8 @@ class RuleSet:
 
     The per-frame gaze velocity cap is stated at reference_fps and rescaled
     to the sequence rate, so the physical speed limit is rate-independent.
-    Every field is a finite, non-negative number (event_edge_guard an int).
+    Every field is a finite, non-negative number (event_edge_guard an int,
+    reference_fps positive).
     """
 
     blink_min_ms: float = 100.0
@@ -82,14 +87,10 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            x = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            # compared, not converted, so an int beyond float range fails here
-            if isinstance(x, bool) or not isinstance(x, kind) or not 0 <= x <= sys.float_info.max:
-                what = "integer" if kind is numbers.Integral else "number"
-                raise ValueError(f"{f.name} must be a finite non-negative {what}, got {x!r}")
-        if self.reference_fps == 0:
-            raise ValueError("reference_fps must be positive, got 0")
+            sign = "positive" if f.name == "reference_fps" else "non-negative"
+            problem = _number_problem(getattr(self, f.name), sign, integer=f.type == "int")
+            if problem:
+                raise ValueError(f"{f.name} {problem}")
 
     def velocity_limit(self, fps: float) -> float:
         return self.gaze_velocity_limit * self.reference_fps / fps
@@ -373,8 +374,8 @@ def _instruction_misses(v, instructions, rules):
 
 
 def _signature_misses(v, p, rules, templates):
-    """The label's committed channels, from the plan's own table, are active."""
-    if p.label not in (CATEGORIES if templates is None else templates):
+    """The label's committed channels, from the table in force, are active."""
+    if p.label not in templates:
         return
     for name in signature_channels(p.label, templates):
         if _peak(v, name) < rules.signature_min:
@@ -390,15 +391,15 @@ def check_semantic(
     p: Plan,
     rules: RuleSet | None = None,
     instructions: str = "",
-    templates=None,
+    templates=TEMPLATES,
 ) -> list[Violation]:
     """Does the sequence do what the plan and instructions asked for?
 
     Checks: structural agreement with the plan (event_order), per-event target
     attainment inside seam-guarded cores (event_target), instruction keywords
     realized (instruction_consistency), and the label's committed channels
-    actually active (label_signature).  A custom planner table in `templates`
-    supplies the signatures of its own labels.
+    actually active (label_signature).  The stage table in `templates`
+    supplies the signatures; a label it does not hold has none.
     """
     rules = rules or RuleSet()
     v = seq.values
@@ -419,9 +420,13 @@ def critique(
     p: Plan,
     rules: RuleSet | None = None,
     instructions: str = "",
-    templates=None,
+    templates=TEMPLATES,
 ) -> CriticReport:
-    """Full critique: physiology plus semantics, folded into one verdict."""
+    """Full critique: physiology plus semantics, folded into one verdict.
+
+    Every violation is listed; an edit that several violations suggest (one
+    whole-clip slew_limit per fast run) is listed once.
+    """
     rules = rules or RuleSet()
     findings = _physiology(seq, p, rules)
     findings += [(v, None) for v in check_semantic(seq, p, rules, instructions, templates)]
@@ -432,7 +437,8 @@ def critique(
     else:
         verdict = "revise_composition"
     violations = tuple(v for v, _ in findings)
-    return CriticReport(verdict, violations, tuple(e for _, e in findings if e is not None))
+    edits = dict.fromkeys(e for _, e in findings if e is not None)
+    return CriticReport(verdict, violations, tuple(edits))
 
 
 def _apply_one(v: np.ndarray, s: EditSuggestion, rules: RuleSet, fps: float) -> None:
@@ -501,24 +507,21 @@ def refine(
     rules: RuleSet | None = None,
     instructions: str = "",
     initial_pose: Sequence[float] = (0.0, 0.0, 0.0),
-    max_composition_rounds: int = 3,
-    max_replans: int = 1,
     weights: Sequence[float] | None = None,
     blend_frames: int = 3,
-    templates=None,
+    templates=TEMPLATES,
     sample_k: int = 1,
     seed: int | None = None,
 ) -> RefineResult:
     """Critique-and-repair loop with explicit budgets.
 
     Local edits answer revise_composition verdicts up to
-    max_composition_rounds times; a revise_plan verdict re-plans with widened
-    targets and recomposes (needs lib), up to max_replans times, resetting
-    the composition budget.  When budgets run out the last critique is
-    returned with verdict "fail" and the full audit history attached.
-    A custom planner template table (see load_template_table) flows through
-    `templates` into each critique and re-plan, and `sample_k`/`seed` into
-    each recompose, as in `compose`.
+    _MAX_COMPOSITION_ROUNDS times; a revise_plan verdict re-plans with
+    widened targets and recomposes (needs lib), up to _MAX_REPLANS times,
+    resetting the composition budget.  When budgets run out the last critique
+    is returned with verdict "fail" and the full audit history attached.
+    The stage table in `templates` flows into each critique and re-plan, and
+    `sample_k`/`seed` into each recompose, as in `compose`.
     """
     rules = rules or RuleSet()
     current = seq
@@ -526,20 +529,19 @@ def refine(
     comp_rounds = 0
     replans = 0
     history: list[CriticReport] = []
-    known_labels = CATEGORIES if templates is None else tuple(templates)
     while True:
         report = critique(current, current_plan, rules, instructions, templates)
         history.append(report)
         if report.verdict == "pass":
             return RefineResult(current, report, tuple(history), comp_rounds, replans)
-        if report.verdict == "revise_composition" and comp_rounds < max_composition_rounds:
+        if report.verdict == "revise_composition" and comp_rounds < _MAX_COMPOSITION_ROUNDS:
             current = apply_edits(current, report.suggestions, rules)
             comp_rounds += 1
             continue
         can_replan = (
-            replans < max_replans
+            replans < _MAX_REPLANS
             and lib is not None
-            and current_plan.label in known_labels
+            and current_plan.label in templates
         )
         if can_replan:
             replans += 1

@@ -13,7 +13,7 @@ import numpy as np
 from .channels import CHANNEL_RANGES, ControlSequence, channel_index
 from .library import PrototypeLibrary, build_library
 from .mapper import default_model, map_sequence
-from .planner import CATEGORIES, plan as build_plan
+from .planner import TEMPLATES
 
 __all__ = [
     "STAGE_PROTO_FRAMES",
@@ -56,13 +56,10 @@ def demo_records(fps: float = 25.0):
     model = default_model()
     env = stage_envelope()
     env_mean = float(env.mean())
-    for label in CATEGORIES:
-        # One long plan exposes the per-stage targets with bilateral names
-        # already expanded; frame spans are irrelevant here.
-        p = build_plan(label, 3 * STAGE_PROTO_FRAMES, fps)
-        for ev in p.events:
+    for label, stages in TEMPLATES.items():
+        for _, _, targets, _ in stages:
             values = np.zeros((STAGE_PROTO_FRAMES, 17))
-            for name, (lo, hi) in ev.channel_targets.items():
+            for name, (lo, hi) in targets.items():
                 mid = (lo + hi) / 2.0
                 track = env * (mid / env_mean)
                 values[:, channel_index(name)] = np.clip(track, *CHANNEL_RANGES[name])

@@ -1,12 +1,14 @@
 """Spatio-temporal guidance weights for diffusion-style refinement of eyes."""
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .channels import _number_problem
 from .mapper import LEFT_IRIS, RIGHT_IRIS, _check_points
 
 __all__ = [
@@ -34,7 +36,8 @@ class GuidanceParams:
     progress), and holds at omega_lo after.  Spatially the weight falls off
     as a Gaussian around each eye center whose width is width_scale times a
     quarter of the inter-center distance (about one eye half-width); far
-    from the eyes it settles at omega_bg.
+    from the eyes it settles at omega_bg.  Every field is a finite number;
+    n_steps is a positive int and width_scale positive.
     """
 
     omega_hi: float = 8.0
@@ -46,15 +49,16 @@ class GuidanceParams:
     n_steps: int = 40
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            sign = "positive" if f.name in ("n_steps", "width_scale") else ""
+            problem = _number_problem(getattr(self, f.name), sign, integer=f.type == "int")
+            if problem:
+                raise ValueError(f"{f.name} {problem}")
         if not (0.0 <= self.ramp_start < self.ramp_end <= 1.0):
             raise ValueError(
                 f"need 0 <= ramp_start < ramp_end <= 1, got "
                 f"{self.ramp_start:g}, {self.ramp_end:g}"
             )
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.width_scale <= 0:
-            raise ValueError(f"width_scale must be positive, got {self.width_scale:g}")
 
 
 @dataclass(frozen=True)

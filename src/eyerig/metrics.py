@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import AU_NAMES, ControlSequence, channel_index
 from .mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL
-from .planner import signature_aus
+from .planner import TEMPLATES, signature_aus
 
 __all__ = [
     "dtw",
@@ -193,10 +193,11 @@ class MetricConfig:
             {k: tuple(v) for k, v in dict(self.signature_override).items()},
         )
 
-    def channels_for(self, label: str) -> tuple[str, ...]:
+    def channels_for(self, label: str, templates=TEMPLATES) -> tuple[str, ...]:
+        """The label's override, else its signature AUs in the stage table."""
         if label in self.signature_override:
             return self.signature_override[label]
-        return signature_aus(label)
+        return signature_aus(label, templates)
 
 
 def load_metric_config(path: str | Path) -> MetricConfig:

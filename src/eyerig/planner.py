@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from numbers import Real
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .channels import (
@@ -15,11 +15,13 @@ from .channels import (
     HEAD_NAMES,
     ValidationReport,
     Violation,
+    _number_problem,
     opposing_gaze,
 )
 
 __all__ = [
     "CATEGORIES",
+    "TEMPLATES",
     "TEMPLATE_TABLE_VERSION",
     "StagedEvent",
     "Plan",
@@ -32,12 +34,11 @@ __all__ = [
     "load_template_table",
     "encode_plan",
     "decode_agent_plan",
-    "encode_agent_request",
 ]
 
 TEMPLATE_TABLE_VERSION = 1
 
-# Bilateral shorthand used in templates; expanded to _L/_R at plan time.
+# Bilateral names a stage table may use; its normal form expands each to _L/_R.
 _BILATERAL = {
     "AU2": ("AU2_L", "AU2_R"),
     "AU4": ("AU4_L", "AU4_R"),
@@ -45,10 +46,93 @@ _BILATERAL = {
     "AU43": ("AU43_L", "AU43_R"),
 }
 
-# Stage table per category: (duration ratio, semantics, targets, exemptions).
-# Ratios sum to 1; targets may use bilateral shorthand.  Intervals stay inside
-# channel legal ranges and gaze highs avoid uncoordinated saccades.
-_TEMPLATES: dict[str, tuple[tuple[float, str, dict[str, tuple[float, float]], tuple[str, ...]], ...]] = {
+# One stage: (duration ratio, semantics, targets, exemptions).
+_Stage = tuple[float, str, Mapping[str, tuple[float, float]], tuple[str, ...]]
+
+
+def _target_problems(name: str, interval) -> list[str]:
+    """What is wrong with a target interval for channel `name`; empty if nothing.
+
+    The one target-interval rule, checked in this order: a known channel, a
+    [lo, hi] pair of numbers (bools are not numbers), lo <= hi, and both
+    bounds inside the channel's CHANNEL_RANGES entry.  An unknown channel or a
+    malformed pair ends the checks.  The range check is written as not-inside,
+    so a NaN bound fails it.
+    """
+    if name not in CHANNEL_RANGES:
+        return ["unknown channel"]
+    if (
+        not isinstance(interval, (list, tuple))
+        or len(interval) != 2
+        or not all(isinstance(x, Real) and not isinstance(x, bool) for x in interval)
+    ):
+        return [f"must be a [lo, hi] pair of numbers, got {interval!r}"]
+    try:
+        lo, hi = float(interval[0]), float(interval[1])
+    except OverflowError:  # an int literal beyond float range
+        return ["a bound is beyond float range"]
+    lim_lo, lim_hi = CHANNEL_RANGES[name]
+    problems = []
+    if lo > hi:
+        problems.append(f"lo {lo:g} > hi {hi:g}")
+    if not (lim_lo <= lo and hi <= lim_hi):
+        problems.append(f"[{lo:g}, {hi:g}] outside legal [{lim_lo:g}, {lim_hi:g}]")
+    return problems
+
+
+def _table_fail(context: str, message: str) -> None:
+    raise ValueError(f"template table {context}: {message}")
+
+
+def _checked_table(raw: Mapping[str, Sequence[Sequence]]) -> Mapping[str, tuple[_Stage, ...]]:
+    """Check a stage table and return its read-only normal form.
+
+    `raw` maps each label to its stages, each a (ratio, semantics, targets,
+    exemptions) sequence.  Per stage: the ratio passes the number rule as a
+    positive number, semantics is a non-empty string, every target passes the
+    target-interval rule under its channel name or bilateral name (AU2, AU4,
+    AU5, AU43), and exemptions is a list of rule names.  Per label, the
+    ratios sum to 1.  Errors name the offending field, e.g.
+    categories['x'][0].targets['AU2'].  In the normal form bilateral names
+    are expanded to _L/_R, intervals are float pairs and exemptions are tuples.
+    """
+    table = {}
+    for label, stages in raw.items():
+        ctx = f"categories[{label!r}]"
+        normal = []
+        for i, (ratio, semantics, targets, exempt) in enumerate(stages):
+            sctx = f"{ctx}[{i}]"
+            problem = _number_problem(ratio, "positive")
+            if problem:
+                _table_fail(sctx, f"ratio {problem}")
+            if not isinstance(semantics, str) or not semantics:
+                _table_fail(sctx, "semantics must be a non-empty string")
+            if not isinstance(targets, Mapping):
+                _table_fail(sctx, "targets must be an object")
+            expanded = {}
+            for name, interval in targets.items():
+                channels = _BILATERAL.get(name, (name,))
+                problems = _target_problems(channels[0], interval)
+                if problems:
+                    _table_fail(f"{sctx}.targets[{name!r}]", problems[0])
+                for channel in channels:
+                    expanded[channel] = (float(interval[0]), float(interval[1]))
+            if not isinstance(exempt, (list, tuple)) or not all(
+                isinstance(e, str) for e in exempt
+            ):
+                _table_fail(sctx, "exemptions must be a list of rule names")
+            normal.append((float(ratio), semantics, MappingProxyType(expanded), tuple(exempt)))
+        total = sum(st[0] for st in normal)
+        if abs(total - 1.0) > 1e-6:
+            _table_fail(ctx, f"stage ratios sum to {total:g}, expected 1")
+        table[label] = tuple(normal)
+    return MappingProxyType(table)
+
+
+# The built-in stage table per category, checked and normalised like a loaded
+# one.  Intervals stay inside channel legal ranges and gaze highs avoid
+# uncoordinated saccades.
+TEMPLATES: Mapping[str, tuple[_Stage, ...]] = _checked_table({
     "sadness": (
         (0.15, "neutral onset", {"AU1": (0.05, 0.15)}, ()),
         (
@@ -234,9 +318,9 @@ _TEMPLATES: dict[str, tuple[tuple[float, str, dict[str, tuple[float, float]], tu
             (),
         ),
     ),
-}
+})
 
-CATEGORIES: tuple[str, ...] = tuple(_TEMPLATES)
+CATEGORIES: tuple[str, ...] = tuple(TEMPLATES)
 
 # Targets an instruction adds when no event already moves that way; the head
 # interval is for the direction's head channel (see DIRECTIONS).
@@ -361,14 +445,6 @@ def parse_instructions(text: str) -> InstructionIntent:
     return InstructionIntent(tuple(gaze), tuple(head), brow, blink, wink)
 
 
-def _expand_targets(raw: Mapping[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
-    for name, interval in raw.items():
-        for expanded in _BILATERAL.get(name, (name,)):
-            out[expanded] = (float(interval[0]), float(interval[1]))
-    return out
-
-
 def _allocate_frames(ratios: Sequence[float], total: int) -> list[int]:
     """Largest-remainder split of `total` frames, every stage at least one."""
     exact = [r * total for r in ratios]
@@ -457,7 +533,7 @@ def plan(
     instructions: str = "",
     initial_pose: Sequence[float] = (0.0, 0.0, 0.0),
     relax: float = 0.0,
-    templates: Mapping[str, tuple] | None = None,
+    templates: Mapping[str, tuple[_Stage, ...]] = TEMPLATES,
 ) -> Plan:
     """Build the staged-event plan for a category label.
 
@@ -465,12 +541,11 @@ def plan(
     strip channel targets; the first event's head targets are widened to
     contain initial_pose so the pinned first frame can always satisfy them.
     `relax` > 0 widens every target interval by that fraction (used when a
-    critic escalation re-plans).  `templates` substitutes a custom stage
-    table (see load_template_table) for the built-in one.
+    critic escalation re-plans).  `templates` is the stage table in force:
+    the built-in TEMPLATES, or a table from load_template_table.
     """
-    table = _TEMPLATES if templates is None else templates
-    if label not in table:
-        known = ", ".join(table)
+    if label not in templates:
+        known = ", ".join(templates)
         raise ValueError(f"unknown label {label!r}; expected one of: {known}")
     if total_frames < 1:
         raise ValueError(f"total_frames must be >= 1, got {total_frames}")
@@ -484,12 +559,12 @@ def plan(
         if not (lo <= v <= hi):
             raise ValueError(f"initial_pose {name}={v:g} outside [{lo:g}, {hi:g}]")
 
-    stages = table[label]
+    stages = templates[label]
     if total_frames < len(stages):
         merged_targets: dict[str, tuple[float, float]] = {}
         merged_exempt: set[str] = set()
         for _, _, targets, exempt in stages:
-            merged_targets.update(_expand_targets(targets))
+            merged_targets.update(targets)
             merged_exempt.update(exempt)
         raw_events = [
             {
@@ -510,7 +585,7 @@ def plan(
                     "start": cursor,
                     "end": cursor + n - 1,
                     "semantics": semantics,
-                    "targets": _expand_targets(targets),
+                    "targets": dict(targets),
                     "exemptions": set(exempt),
                 }
             )
@@ -546,46 +621,6 @@ def plan(
         for ev in raw_events
     )
     return Plan(label=label, events=events, total_frames=total_frames, fps=float(fps))
-
-
-def _finite(x: float) -> bool:
-    """math.isfinite, except that an int beyond float range is not finite
-    (math.isfinite raises OverflowError for it)."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _target_problems(name: str, interval, shorthand: bool = False) -> list[str]:
-    """What is wrong with a target interval for channel `name`; empty if nothing.
-
-    The one target-interval rule, checked in this order: a known channel
-    (bilateral shorthand such as AU2 only when `shorthand`), a [lo, hi] pair
-    of numbers, lo <= hi, and both bounds inside the channel's CHANNEL_RANGES
-    entry.  An unknown channel or a malformed pair ends the checks.  The range
-    check is written as not-inside, so a NaN bound fails it.
-    """
-    channel = _BILATERAL[name][0] if shorthand and name in _BILATERAL else name
-    if channel not in CHANNEL_RANGES:
-        return ["unknown channel"]
-    if (
-        not isinstance(interval, (list, tuple))
-        or len(interval) != 2
-        or not all(isinstance(x, Real) for x in interval)
-    ):
-        return [f"must be a [lo, hi] pair of numbers, got {interval!r}"]
-    try:
-        lo, hi = float(interval[0]), float(interval[1])
-    except OverflowError:  # an int literal beyond float range
-        return ["a bound is beyond float range"]
-    lim_lo, lim_hi = CHANNEL_RANGES[channel]
-    problems = []
-    if lo > hi:
-        problems.append(f"lo {lo:g} > hi {hi:g}")
-    if not (lim_lo <= lo and hi <= lim_hi):
-        problems.append(f"[{lo:g}, {hi:g}] outside legal [{lim_lo:g}, {lim_hi:g}]")
-    return problems
 
 
 def validate_plan(p: Plan) -> ValidationReport:
@@ -656,18 +691,17 @@ def validate_plan(p: Plan) -> ValidationReport:
 
 
 def signature_channels(
-    label: str, templates: Mapping[str, tuple] | None = None
+    label: str, templates: Mapping[str, tuple[_Stage, ...]] = TEMPLATES
 ) -> tuple[str, ...]:
     """Channels a category's template commits to with midpoint >= 0.1 intensity.
 
     Head channels are excluded: direction is pose, not evidence of activity.
     """
-    table = _TEMPLATES if templates is None else templates
-    if label not in table:
+    if label not in templates:
         raise ValueError(f"unknown label {label!r}")
     out: list[str] = []
-    for _, _, targets, _ in table[label]:
-        for name, (lo, hi) in _expand_targets(targets).items():
+    for _, _, targets, _ in templates[label]:
+        for name, (lo, hi) in targets.items():
             if name in HEAD_NAMES:
                 continue
             if (lo + hi) / 2.0 >= 0.1 and name not in out:
@@ -676,30 +710,21 @@ def signature_channels(
 
 
 def signature_aus(
-    label: str, templates: Mapping[str, tuple] | None = None
+    label: str, templates: Mapping[str, tuple[_Stage, ...]] = TEMPLATES
 ) -> tuple[str, ...]:
     """The AU subset of signature_channels; the default metric target set."""
     return tuple(n for n in signature_channels(label, templates) if n in AU_NAMES)
 
 
-def _table_fail(context: str, message: str) -> None:
-    raise ValueError(f"template table {context}: {message}")
-
-
-def load_template_table(path) -> dict[str, tuple]:
+def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
     """Load a custom stage-template table from JSON.
 
     Format: {"version": 1, "categories": {label: [stage, ...]}} where each
     stage is {"ratio": num, "semantics": str, "targets": {channel: [lo, hi]},
-    "exemptions": [rule, ...]}.  Channel names may use the bilateral
-    shorthand (AU2, AU4, AU5, AU43).  Each target passes the same interval
-    rule as validate_plan: lo <= hi, both bounds inside the channel's legal
-    range (degrees for head channels), and no NaN bound.  Per category,
-    ratios must be positive and sum to 1.  Errors name the offending field,
-    e.g. categories['x'][0].targets['AU2'].
-
-    The result drops into plan(..., templates=...) and critique(...,
-    templates=...).
+    "exemptions": [rule, ...]}.  Only this JSON shape is checked here; the
+    stages pass the same checks as the built-in TEMPLATES and come back in
+    the same normal form, so the result drops into plan(..., templates=...)
+    and critique(..., templates=...).
     """
     with open(path) as fh:
         try:
@@ -713,42 +738,17 @@ def load_template_table(path) -> dict[str, tuple]:
     cats = payload.get("categories")
     if not isinstance(cats, dict) or not cats:
         _table_fail(str(path), "categories must be a non-empty object")
-    table: dict[str, tuple] = {}
+    raw: dict[str, list[tuple]] = {}
     for label, stages in cats.items():
-        ctx = f"categories[{label!r}]"
         if not isinstance(stages, list) or not stages:
-            _table_fail(ctx, "must be a non-empty list of stages")
-        parsed = []
+            _table_fail(f"categories[{label!r}]", "must be a non-empty list of stages")
+        raw[label] = []
         for i, st in enumerate(stages):
-            sctx = f"{ctx}[{i}]"
             if not isinstance(st, dict):
-                _table_fail(sctx, "stage must be an object")
-            ratio = st.get("ratio")
-            if not isinstance(ratio, (int, float)) or not (ratio > 0 and _finite(ratio)):
-                _table_fail(sctx, f"ratio must be a finite positive number, got {ratio!r}")
-            semantics = st.get("semantics")
-            if not isinstance(semantics, str) or not semantics:
-                _table_fail(sctx, "semantics must be a non-empty string")
-            raw_targets = st.get("targets", {})
-            if not isinstance(raw_targets, dict):
-                _table_fail(sctx, "targets must be an object")
-            targets: dict[str, tuple[float, float]] = {}
-            for name, interval in raw_targets.items():
-                problems = _target_problems(name, interval, shorthand=True)
-                if problems:
-                    _table_fail(f"{sctx}.targets[{name!r}]", problems[0])
-                targets[name] = (float(interval[0]), float(interval[1]))
-            exempt = st.get("exemptions", [])
-            if not isinstance(exempt, list) or not all(
-                isinstance(e, str) for e in exempt
-            ):
-                _table_fail(sctx, "exemptions must be a list of rule names")
-            parsed.append((float(ratio), semantics, targets, tuple(exempt)))
-        total = sum(p[0] for p in parsed)
-        if abs(total - 1.0) > 1e-6:
-            _table_fail(ctx, f"stage ratios sum to {total:g}, expected 1")
-        table[label] = tuple(parsed)
-    return table
+                _table_fail(f"categories[{label!r}][{i}]", "stage must be an object")
+            raw[label].append((st.get("ratio"), st.get("semantics"),
+                               st.get("targets", {}), st.get("exemptions", [])))
+    return _checked_table(raw)
 
 
 def _plan_payload(p: Plan) -> dict:
@@ -776,24 +776,6 @@ def encode_plan(p: Plan) -> str:
     return json.dumps(_plan_payload(p), sort_keys=True, indent=2) + "\n"
 
 
-def encode_agent_request(
-    label: str,
-    total_frames: int,
-    fps: float,
-    instructions: str = "",
-    initial_pose: Sequence[float] = (0.0, 0.0, 0.0),
-) -> str:
-    """Request envelope an external planner fills in with events."""
-    payload = {
-        "label": label,
-        "fps": float(fps),
-        "total_frames": int(total_frames),
-        "instructions": instructions,
-        "initial_pose": {name: float(v) for name, v in zip(HEAD_NAMES, initial_pose)},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _fail(path: str, message: str) -> ValueError:
     return ValueError(f"{path}: {message}")
 
@@ -814,11 +796,13 @@ def decode_agent_plan(text: str) -> Plan:
     if not isinstance(label, str) or not label:
         raise _fail("label", "must be a non-empty string")
     fps = payload.get("fps")
-    if not isinstance(fps, (int, float)) or not (fps > 0 and _finite(fps)):
-        raise _fail("fps", "must be a finite positive number")
+    problem = _number_problem(fps, "positive")
+    if problem:
+        raise _fail("fps", problem)
     total = payload.get("total_frames")
-    if not isinstance(total, int) or total < 1:
-        raise _fail("total_frames", "must be a positive integer")
+    problem = _number_problem(total, "positive", integer=True)
+    if problem:
+        raise _fail("total_frames", problem)
     events_raw = payload.get("events")
     if not isinstance(events_raw, list) or not events_raw:
         raise _fail("events", "must be a non-empty list")
@@ -830,7 +814,7 @@ def decode_agent_plan(text: str) -> Plan:
             raise _fail(path, "must be an object")
         start = ev.get("start_frame")
         end = ev.get("end_frame")
-        if not isinstance(start, int) or not isinstance(end, int):
+        if _number_problem(start, integer=True) or _number_problem(end, integer=True):
             raise _fail(path, "start_frame and end_frame must be integers")
         if start != cursor:
             raise _fail(

@@ -115,13 +115,7 @@ def test_criterion_3_critic_detection_and_repair():
     assert len(corpus) == 12
     detected = 0
     for case in corpus:
-        result = refine(
-            case.sequence,
-            case.plan,
-            instructions=case.instructions,
-            max_composition_rounds=3,
-            max_replans=0,
-        )
+        result = refine(case.sequence, case.plan, instructions=case.instructions)
         first = result.history[0]
         fired = {v.rule for v in first.violations}
         assert set(case.expect_rules) <= fired, (

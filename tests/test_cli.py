@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from eyerig import cli
-from eyerig.channels import ControlSequence, save_controls_csv
+from eyerig.channels import ControlSequence, load_controls_csv, save_controls_csv
 from eyerig.cli import main
 from eyerig.demo import demo_records
 from eyerig.guidance import load_guidance_ogf1
 from eyerig.library import load_library
 from eyerig.mapper import load_keypoints_json, save_keypoints_json
+from eyerig.metrics import au_temp
+from eyerig.planner import load_template_table, signature_aus
 
 
 def run(*argv):
@@ -302,6 +304,39 @@ class TestEval:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["au_f1"]["f1"] == 1.0  # both silent above 0.99: vacuous match
+
+    def _table_config(self, tmp_path, categories):
+        (tmp_path / "table.json").write_text(json.dumps({"version": 1, "categories": categories}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"template_table_path": "table.json"}))
+        return cfg
+
+    def test_label_from_config_table(self, tmp_path, compiled, capsys):
+        cfg = self._table_config(tmp_path, {"calm_focus": [
+            {"ratio": 1.0, "semantics": "hold", "targets": {"AU43": [0.2, 0.4]}}
+        ]})
+        path = compiled / "drowsiness.controls.csv"
+        assert run("--config", cfg, "eval", path, path, "--label", "calm_focus") == 0
+        assert json.loads(capsys.readouterr().out)["au_temp"] == 1.0
+
+    def test_redefined_label_scored_on_table_signature(self, tmp_path, capsys):
+        cfg = self._table_config(tmp_path, {"anger": [
+            {"ratio": 1.0, "semantics": "brows raise", "targets": {"AU1": [0.3, 0.6], "AU2": [0.3, 0.6]}}
+        ]})
+        rng = np.random.default_rng(5)
+        paths = []
+        for name in ("pred", "ref"):
+            values = np.zeros((40, 17))
+            values[:, :10] = rng.uniform(0.0, 0.45, (40, 10))  # every AU, below lid conflicts
+            paths.append(tmp_path / f"{name}.controls.csv")
+            save_controls_csv(ControlSequence(values, 25.0), paths[-1])
+        assert run("--config", cfg, "eval", *paths, "--label", "anger") == 0
+        pred, ref = (load_controls_csv(p) for p in paths)
+        channels = signature_aus("anger", load_template_table(tmp_path / "table.json"))
+        assert channels == ("AU1", "AU2_L", "AU2_R")
+        want = au_temp(pred, ref, "anger", channels=channels)
+        assert json.loads(capsys.readouterr().out)["au_temp"] == want
+        assert want != au_temp(pred, ref, "anger")  # the built-in AU4/AU7/AU5 signature
 
 
 class TestPreview:

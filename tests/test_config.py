@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from eyerig.cli import main
 from eyerig.config import PipelineConfig, load_pipeline_config
 from eyerig.critic import RuleSet
 from eyerig.guidance import GuidanceParams
+from eyerig.planner import TEMPLATES
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -22,7 +24,7 @@ class TestDefaults:
         assert cfg.query_weights is None
         assert cfg.rules == RuleSet()
         assert cfg.guidance == GuidanceParams()
-        assert cfg.template_table is None
+        assert cfg.template_table is TEMPLATES
         assert cfg.seed is None
         assert cfg.sample_k == 1
 
@@ -108,6 +110,32 @@ class TestRejection:
     def test_malformed_rule_value(self, tmp_path, rules, field):
         with pytest.raises(ValueError, match=f"rules: {field} must be"):
             load_pipeline_config(_write(tmp_path, {"rules": rules}))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"sample_k": 2.5}, "sample_k must be a finite positive integer"),
+            ({"sample_k": True}, "sample_k must be a finite positive integer"),
+            ({"blend_frames": 2.5}, "blend_frames must be a finite non-negative integer"),
+            ({"blend_frames": True}, "blend_frames must be a finite non-negative integer"),
+            ({"query_weights": 5}, "query_weights must be a list of 17 numbers"),
+            ({"query_weights": [1.0] * 16 + ["1"]}, "query_weights must be a finite"),
+            ({"sample_k": 3, "seed": "abc"}, "seed must be a finite non-negative integer"),
+            ({"sample_k": 2, "seed": 1.5}, "seed must be a finite non-negative integer"),
+            ({"guidance": {"omega_hi": "abc"}}, "guidance: omega_hi must be a finite number"),
+            ({"guidance": {"n_steps": 2.5}}, "guidance: n_steps must be a finite positive integer"),
+        ],
+    )
+    def test_malformed_value_exits_1(self, tmp_path, capsys, payload, message):
+        path = _write(tmp_path, payload)
+        with pytest.raises(ValueError, match=message):
+            load_pipeline_config(path)
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "compile", "--label", "fear", "--frames", "20",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_guidance_field(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fields"):

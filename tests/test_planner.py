@@ -8,10 +8,10 @@ import pytest
 from eyerig.channels import CHANNEL_RANGES, HEAD_NAMES
 from eyerig.planner import (
     CATEGORIES,
+    TEMPLATES,
     Plan,
     StagedEvent,
     decode_agent_plan,
-    encode_agent_request,
     encode_plan,
     load_template_table,
     parse_instructions,
@@ -310,16 +310,6 @@ def test_encode_plan_deterministic():
     assert a == b
 
 
-def test_agent_request_envelope():
-    payload = json.loads(encode_agent_request("fear", 50, 25.0, "look left", (5.0, 0.0, 0.0)))
-    assert payload["label"] == "fear"
-    assert payload["total_frames"] == 50
-    assert payload["fps"] == 25.0
-    assert payload["instructions"] == "look left"
-    assert payload["initial_pose"] == {"yaw": 5.0, "pitch": 0.0, "roll": 0.0}
-    assert "events" not in payload
-
-
 class TestDecodeAgentPlan:
     def _payload(self):
         return json.loads(encode_plan(plan("anger", 20, 25.0)))
@@ -380,6 +370,22 @@ class TestDecodeAgentPlan:
         payload = self._payload()
         payload["events"] = []
         with pytest.raises(ValueError, match="events"):
+            decode_agent_plan(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            ("fps", "fps: must be a finite positive number, got True"),
+            ("total_frames", "total_frames: must be a finite positive integer, got True"),
+            ("start_frame", "events[0]: start_frame and end_frame must be integers"),
+            ("end_frame", "events[0]: start_frame and end_frame must be integers"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, key, error):
+        # one event over frame 1, so true would stand in for 1 everywhere
+        payload = json.loads(encode_plan(plan("anger", 1, 25.0)))
+        (payload if key in payload else payload["events"][0])[key] = True
+        with pytest.raises(ValueError, match=re.escape(error)):
             decode_agent_plan(json.dumps(payload))
 
 
@@ -469,6 +475,25 @@ class TestTemplateTable:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_template_table(path)
 
+    def test_builtin_table_round_trips(self, tmp_path):
+        # the built-in table passes the loader's checks and is already in its normal form
+        categories = {
+            label: [
+                {"ratio": r, "semantics": s, "targets": {k: list(v) for k, v in t.items()},
+                 "exemptions": list(e)}
+                for r, s, t, e in stages
+            ]
+            for label, stages in TEMPLATES.items()
+        }
+        path = self._write(tmp_path, {"version": 1, "categories": categories})
+        assert load_template_table(path) == TEMPLATES
+
+    def test_builtin_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            TEMPLATES["anger"] = ()
+        with pytest.raises(TypeError):
+            TEMPLATES["anger"][0][2]["AU7"] = (0.0, 0.1)
+
 
 # One target-interval rule behind validate_plan, decode_agent_plan and
 # load_template_table: (channel, interval, problem, accepted by templates).
@@ -483,6 +508,7 @@ INTERVAL_CASES = {
     "head_inside_degrees": ("pitch", [-60.0, 60.0], None, True),
     "unknown_channel": ("AU99", [0.1, 0.2], "unknown channel", False),
     "bilateral_shorthand": ("AU2", [0.1, 0.2], "unknown channel", True),
+    "bool_bound": ("AU1", [False, True], "must be a [lo, hi] pair of numbers", False),
 }
 
 
@@ -511,6 +537,7 @@ def test_target_interval_rule(tmp_path, case):
             decode_agent_plan(json.dumps(payload))
 
     # load_template_table: raises with the table context; shorthand is allowed
+    # and comes back expanded to _L/_R
     table = {
         "version": 1,
         "categories": {"calm": [{"ratio": 1.0, "semantics": "s", "targets": {name: interval}}]},
@@ -518,7 +545,8 @@ def test_target_interval_rule(tmp_path, case):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))
     if template_ok:
-        assert load_template_table(path)["calm"][0][2] == {name: tuple(interval)}
+        expanded = ("AU2_L", "AU2_R") if name == "AU2" else (name,)
+        assert load_template_table(path)["calm"][0][2] == dict.fromkeys(expanded, tuple(interval))
     else:
         context = f"template table categories['calm'][0].targets['{name}']: "
         with pytest.raises(ValueError, match=re.escape(context) + ".*" + re.escape(problem)):
