@@ -165,8 +165,9 @@ class ControlSequence:
             raise ValueError("control sequence must contain at least one frame")
         if not np.all(np.isfinite(arr)):
             raise ValueError("control sequence contains non-finite values")
-        if not (isinstance(self.fps, (int, float)) and self.fps > 0):
-            raise ValueError(f"fps must be positive, got {self.fps!r}")
+        problem = _number_problem(self.fps, "positive")
+        if problem:
+            raise ValueError(f"fps {problem}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -387,7 +388,7 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
             raise ValueError(f"sidecar {sidecar} lacks an fps field")
         if meta.get("version") != CSV_FORMAT_VERSION:
             raise ValueError(f"unsupported controls format version {meta.get('version')!r}")
-        fps = float(meta["fps"])
+        fps = meta["fps"]
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -406,4 +407,7 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
                 raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no frames")
-    return ControlSequence(np.asarray(rows), fps)
+    try:
+        return ControlSequence(np.asarray(rows), fps)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

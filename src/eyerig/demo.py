@@ -12,7 +12,6 @@ import numpy as np
 
 from .channels import CHANNEL_RANGES, ControlSequence, channel_index
 from .library import PrototypeLibrary, build_library
-from .mapper import default_model, map_sequence
 from .planner import TEMPLATES
 
 __all__ = [
@@ -46,14 +45,13 @@ def stage_envelope(n_frames: int = STAGE_PROTO_FRAMES) -> np.ndarray:
 
 
 def demo_records(fps: float = 25.0):
-    """Yield (label, controls, keypoints3d) for every category stage.
+    """Yield (label, controls) for every category stage.
 
     Each record activates exactly the channels its stage targets, scaled so
     the per-channel mean equals the target midpoint (capped at the channel's
     legal range).  Untargeted channels stay at zero, keeping retrieval
     distances clean and leak-through into neighboring events silent.
     """
-    model = default_model()
     env = stage_envelope()
     env_mean = float(env.mean())
     for label, stages in TEMPLATES.items():
@@ -63,9 +61,7 @@ def demo_records(fps: float = 25.0):
                 mid = (lo + hi) / 2.0
                 track = env * (mid / env_mean)
                 values[:, channel_index(name)] = np.clip(track, *CHANNEL_RANGES[name])
-            controls = ControlSequence(values, fps)
-            _, points3d = map_sequence(controls, model)
-            yield label, controls, points3d
+            yield label, ControlSequence(values, fps)
 
 
 def build_demo_library(fps: float = 25.0) -> PrototypeLibrary:

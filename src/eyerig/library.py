@@ -88,15 +88,17 @@ def baseline_from_model(model: DeformationModel | None = None) -> NeutralBaselin
 
 @dataclass(frozen=True)
 class Prototype:
-    """One stored behavior snippet: label, controls, matching 3-D keypoints."""
+    """One stored behavior snippet: label, controls, its source trace's 3-D keypoints if any."""
 
     label: str
     controls: ControlSequence
-    keypoints: KeypointSequence
+    keypoints: KeypointSequence | None = None
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("prototype label must be non-empty")
+        if not (isinstance(self.label, str) and self.label):
+            raise ValueError(f"prototype label must be a non-empty string, got {self.label!r}")
+        if self.keypoints is None:
+            return
         dims = self.keypoints.frames.shape[-1]
         if dims != 3:
             raise ValueError(f"prototype '{self.label}': keypoints must be 3-D, got {dims}-D")
@@ -140,13 +142,13 @@ class QueryResult:
     label: str
 
 
-def build_library(records: Iterable[tuple[str, ControlSequence, KeypointSequence]]) -> PrototypeLibrary:
-    """Assemble prototypes from (label, controls, keypoints) records.
+def build_library(records: Iterable[tuple]) -> PrototypeLibrary:
+    """Assemble prototypes from (label, controls) or (label, controls, keypoints) records.
 
     Per-prototype length agreement is checked by the Prototype constructor;
     the library computes the per-prototype channel means used by retrieval.
     """
-    protos = [Prototype(label, controls, keypoints) for label, controls, keypoints in records]
+    protos = [Prototype(*record) for record in records]
     return PrototypeLibrary(tuple(protos))
 
 
@@ -195,18 +197,13 @@ def query(
 def save_library(lib: PrototypeLibrary, path: str | Path) -> None:
     """Write the library JSON; floats round-trip bit-exact via repr.
 
-    Prototypes are encoded and written one at a time, so memory holds one
-    prototype's text, not the whole file's.
+    A prototype's "keypoints" are written only when it has them.  Prototypes
+    are encoded and written one at a time, so memory holds one prototype's
+    text, not the whole file's.
     """
     blocks = (
-        [
-            {
-                "label": p.label,
-                "fps": float(p.controls.fps),
-                "controls": p.controls.values.tolist(),
-                "keypoints": p.keypoints.frames.tolist(),
-            }
-        ]
+        [{"label": p.label, "fps": p.controls.fps, "controls": p.controls.values.tolist()}
+         | ({} if p.keypoints is None else {"keypoints": p.keypoints.frames.tolist()})]
         for p in lib.prototypes
     )
     _write_json_streamed(path, {"version": LIBRARY_FORMAT_VERSION}, "prototypes", blocks)
@@ -221,27 +218,25 @@ def load_library(path: str | Path) -> PrototypeLibrary:
             raise ValueError(f"malformed library file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise ValueError(f"malformed library file {path}: missing version")
-    if payload["version"] != LIBRARY_FORMAT_VERSION:
-        raise ValueError(f"unsupported library version {payload['version']!r}")
+    version = payload["version"]
+    if type(version) is not int or version != LIBRARY_FORMAT_VERSION:  # JSON true is not 1
+        raise ValueError(f"unsupported library version {version!r} in {path}")
     entries = payload.get("prototypes")
     if not isinstance(entries, list):
         raise ValueError(f"malformed library file {path}: prototypes must be a list")
-    records = []
+    protos = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"malformed library file {path}: prototypes[{i}] not an object")
         try:
-            label = entry["label"]
-            fps = float(entry["fps"])
+            fps = entry["fps"]
             controls = ControlSequence(np.asarray(entry["controls"], dtype=np.float64), fps)
-            keypoints = KeypointSequence(np.asarray(entry["keypoints"], dtype=np.float64), fps)
+            kp = entry.get("keypoints")
+            keypoints = None if kp is None else KeypointSequence(np.asarray(kp, dtype=np.float64), fps)
+            protos.append(Prototype(entry["label"], controls, keypoints))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed library file {path}: prototypes[{i}]: {exc}") from exc
-        records.append((label, controls, keypoints))
-    try:
-        return build_library(records)
-    except ValueError as exc:
-        raise ValueError(f"malformed library file {path}: {exc}") from exc
+            raise ValueError(f"malformed prototypes[{i}] in library file {path}: {exc}") from exc
+    return PrototypeLibrary(tuple(protos))
 
 
 def _kabsch(source: np.ndarray, target: np.ndarray) -> np.ndarray:

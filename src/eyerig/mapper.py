@@ -17,6 +17,7 @@ from .channels import (
     N_AU,
     N_GAZE,
     ControlSequence,
+    _number_problem,
     channel_index,
     validate_sequence,
 )
@@ -124,8 +125,9 @@ class KeypointSequence:
                 f"keypoint sequence must have shape (T, {N_POINTS}, 2|3), T >= 1, got {arr.shape}"
             )
         arr = _check_points(arr, arr.shape[2], "keypoint sequence", ndim=3).copy()
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps!r}")
+        problem = _number_problem(self.fps, "positive")
+        if problem:
+            raise ValueError(f"fps {problem}")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
         object.__setattr__(self, "fps", float(self.fps))
@@ -457,4 +459,7 @@ def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:
             f"{path}: needs {dims}-D keypoints, found {frames.shape[2]}-D "
             "(map writes 2-D, map --three-d writes 3-D)"
         )
-    return KeypointSequence(frames, float(payload["fps"]))
+    try:
+        return KeypointSequence(frames, payload["fps"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

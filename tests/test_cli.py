@@ -7,10 +7,10 @@ import pytest
 from eyerig import cli
 from eyerig.channels import ControlSequence, load_controls_csv, save_controls_csv
 from eyerig.cli import main
-from eyerig.demo import demo_records
+from eyerig.demo import build_demo_library, demo_records
 from eyerig.guidance import load_guidance_ogf1
-from eyerig.library import load_library
-from eyerig.mapper import load_keypoints_json, save_keypoints_json
+from eyerig.library import build_library, load_library, save_library
+from eyerig.mapper import load_keypoints_json, map_sequence, save_keypoints_json
 from eyerig.metrics import au_temp
 from eyerig.planner import load_template_table, signature_aus
 
@@ -201,13 +201,11 @@ class TestMapAndBuildLib:
 
         d = tmp_path / "traces"
         d.mkdir()
-        for i, (label, controls, kp3d) in enumerate(
-            itertools.islice(demo_records(), 3)
-        ):
+        for i, (label, controls) in enumerate(itertools.islice(demo_records(), 3)):
             stem = f"{label}__{i:03d}"
             if i < 2:  # third pair exercises the inversion fallback
                 save_controls_csv(controls, d / f"{stem}.controls.csv")
-            save_keypoints_json(kp3d, d / f"{stem}.keypoints.json")
+            save_keypoints_json(map_sequence(controls)[1], d / f"{stem}.keypoints.json")
         out = tmp_path / "lib.json"
         code = run("build-lib", d, "-o", out)
         assert code == 0
@@ -240,6 +238,66 @@ class TestMapAndBuildLib:
         d = tmp_path / "traces"
         d.mkdir()
         assert run("build-lib", d, "-o", tmp_path / "lib.json") == 1
+
+    def test_stored_keypoints_do_not_change_compiles(self, tmp_path):
+        # retrieval reads controls only: the same library with and without
+        # 3-D keypoints compiles to the same bytes
+        with_kp = tmp_path / "with.json"
+        save_library(build_library((label, c, map_sequence(c)[1]) for label, c in demo_records()),
+                     with_kp)
+        without_kp = tmp_path / "without.json"
+        save_library(build_demo_library(), without_kp)
+        assert b'"keypoints"' in with_kp.read_bytes()
+        assert b'"keypoints"' not in without_kp.read_bytes()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_k": 3}))
+        for lib_path in (with_kp, without_kp):
+            assert run("--config", cfg, "--seed", "2", "compile", "--label", "fear",
+                       "--frames", "60", "--library", lib_path,
+                       "--out-dir", tmp_path / lib_path.stem) == 0
+        for name in ("fear.controls.csv", "fear.keypoints.json", "fear.audit.json"):
+            assert (tmp_path / "with" / name).read_bytes() == (
+                tmp_path / "without" / name
+            ).read_bytes()
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("fps", ["1e999", "true", '"25"'])
+    def test_sidecar_fps(self, tmp_path, compiled, capsys, fps):
+        csv_path = tmp_path / "x.controls.csv"
+        csv_path.write_bytes((compiled / "drowsiness.controls.csv").read_bytes())
+        (tmp_path / "x.controls.meta.json").write_text('{"fps": %s, "version": 1}' % fps)
+        out = tmp_path / "kp.json"
+        assert run("map", csv_path, "-o", out) == 1
+        assert "x.controls.csv: fps must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fps", ["1e999", "true", '"25"'])
+    def test_keypoints_fps(self, tmp_path, compiled, capsys, fps):
+        path = tmp_path / "kp.json"
+        text = (compiled / "drowsiness.keypoints.json").read_text()
+        path.write_text(text.replace('"fps": 25.0', '"fps": %s' % fps, 1))
+        assert run("guidance", path, "-o", tmp_path / "g.ogf") == 1
+        assert "kp.json: fps must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"fps": 1e999', "fps must be a finite positive number, got inf"),
+            ('"label": ["a"]', "label must be a non-empty string, got ['a']"),
+        ],
+    )
+    def test_library_entry(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "lib.json"
+        # the bad value comes last, so it wins over the good one of the same key
+        path.write_text('{"version": 1, "prototypes": [{"controls": [%s], "fps": 25.0, '
+                        '"label": "fear", %s}]}' % (json.dumps([0.0] * 17), entry))
+        out = tmp_path / "out"
+        assert run("compile", "--label", "fear", "--frames", "30", "--library", path,
+                   "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "prototypes[0] in library file" in err and "lib.json" in err and message in err
+        assert not out.exists()
 
 
 class TestGuidance:

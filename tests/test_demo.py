@@ -70,19 +70,19 @@ class TestDemoRecords:
             for t in range(0, len(proto.controls), 13):
                 assert validate_control_state(proto.controls.values[t]).ok
 
-    def test_keypoints_match_controls(self, lib):
+    def test_prototypes_store_controls_only(self, lib):
+        # retrieval and composition read only controls; no keypoints are derived
         for proto in lib.prototypes:
-            assert len(proto.keypoints) == len(proto.controls)
-            assert proto.keypoints.fps == proto.controls.fps
+            assert proto.keypoints is None
+            assert len(proto.controls) == STAGE_PROTO_FRAMES
 
     def test_records_are_deterministic(self):
         a = list(demo_records())
         b = list(demo_records())
         assert len(a) == len(b)
-        for (la, ca, ka), (lb, cb, kb) in zip(a, b):
+        for (la, ca), (lb, cb) in zip(a, b):
             assert la == lb
             assert np.array_equal(ca.values, cb.values)
-            assert np.array_equal(ka.frames, kb.frames)
 
 
 class TestEndToEnd:

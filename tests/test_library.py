@@ -1,5 +1,6 @@
 """Prototype store: retrieval against a brute-force oracle, persistence, inversion."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,40 +165,98 @@ def test_library_means_match_channel_summary_exactly():
     np.testing.assert_array_equal(lib._means, want)
 
 
+def without_keypoints(lib, drop=lambda i: True):
+    """The same library with the keypoints of every prototype i where drop(i) removed."""
+    return PrototypeLibrary(
+        tuple(replace(p, keypoints=None) if drop(i) else p for i, p in enumerate(lib.prototypes))
+    )
+
+
 def test_library_json_round_trip_bit_exact(tmp_path):
+    # odd prototypes are controls-only, so one file holds both kinds of entry
     rng = np.random.default_rng(5)
-    lib = make_library(rng, 4, labels=("calm", "alert"))
+    lib = without_keypoints(make_library(rng, 4, labels=("calm", "alert")), lambda i: i % 2)
     path = tmp_path / "lib.json"
     save_library(lib, path)
     back = load_library(path)
     assert len(back) == len(lib)
-    for p, q in zip(lib.prototypes, back.prototypes):
+    for i, (p, q) in enumerate(zip(lib.prototypes, back.prototypes)):
         assert p.label == q.label
         np.testing.assert_array_equal(p.controls.values, q.controls.values)
-        np.testing.assert_array_equal(p.keypoints.frames, q.keypoints.frames)
+        if i % 2:
+            assert p.keypoints is None and q.keypoints is None
+        else:
+            np.testing.assert_array_equal(p.keypoints.frames, q.keypoints.frames)
         np.testing.assert_array_equal(
             p.controls.values.mean(axis=0), q.controls.values.mean(axis=0)
         )
+    again = tmp_path / "again.json"
+    save_library(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_library_json_wire_format(tmp_path, n):
+@pytest.mark.parametrize(
+    "n, keypoints",
+    [(0, True), (1, True), (3, True), (1, False), (3, False)],
+    ids=["0", "1", "3", "1-controls-only", "3-controls-only"],
+)
+def test_library_json_wire_format(tmp_path, n, keypoints):
     lib = make_library(np.random.default_rng(n), n, labels=("calm", "alert"), frames=4)
+    if not keypoints:
+        lib = without_keypoints(lib)
     path = tmp_path / "lib.json"
     save_library(lib, path)
-    payload = {
-        "version": 1,
-        "prototypes": [
-            {
-                "label": p.label,
-                "fps": p.controls.fps,
-                "controls": [[float(v) for v in row] for row in p.controls.values],
-                "keypoints": [[[float(c) for c in pt] for pt in f] for f in p.keypoints.frames],
-            }
-            for p in lib.prototypes
-        ],
-    }
+
+    def entry(p):
+        out = {
+            "label": p.label,
+            "fps": p.controls.fps,
+            "controls": [[float(v) for v in row] for row in p.controls.values],
+        }
+        if keypoints:
+            out["keypoints"] = [[[float(c) for c in pt] for pt in f] for f in p.keypoints.frames]
+        return out
+
+    payload = {"version": 1, "prototypes": [entry(p) for p in lib.prototypes]}
     assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def test_build_library_takes_records_with_or_without_keypoints():
+    seq = make_sequence(np.random.default_rng(2))
+    lib = build_library([("a", seq), ("b", seq, map_sequence(seq)[1])])
+    assert lib.prototypes[0].keypoints is None
+    assert len(lib.prototypes[1].keypoints) == len(seq)
+
+
+_ENTRY = {"label": "x", "fps": 25.0, "controls": [[0.0] * 17]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"version": True, "prototypes": []}, r"unsupported library version True in \S*lib\.json"),
+        ({"version": 1.0, "prototypes": []}, r"unsupported library version 1\.0 in \S*lib\.json"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "fps": "1e999"}]}, "got inf"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "fps": True}]}, "got True"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "fps": "25"}]}, "got '25'"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "fps": 0}]}, "got 0"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "label": ["a"]}]}, r"got \['a'\]"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "label": 5}]}, "got 5"),
+        ({"version": 1, "prototypes": [{**_ENTRY, "label": ""}]}, "got ''"),
+    ],
+    ids=[
+        "version-true", "version-float", "fps-inf", "fps-true", "fps-string", "fps-zero",
+        "label-list", "label-int", "label-empty",
+    ],
+)
+def test_library_malformed_values_name_file_and_entry(tmp_path, payload, message):
+    path = tmp_path / "lib.json"
+    # "1e999" is written bare, so the JSON parser reads it as inf
+    path.write_text(json.dumps(payload).replace('"1e999"', "1e999"))
+    if payload["prototypes"]:
+        message = r"malformed prototypes\[0\] in library file \S*lib\.json: .*" + message
+    with pytest.raises(ValueError, match=message):
+        load_library(path)
 
 
 def test_library_version_mismatch(tmp_path):

@@ -284,6 +284,16 @@ def test_keypoint_sequence_rejects_bad_shapes(shape):
         KeypointSequence(np.zeros(shape), 25.0)
 
 
+@pytest.mark.parametrize("fps", [True, float("inf"), float("nan"), "25", 0, -1.0, None])
+@pytest.mark.parametrize("make", ["controls", "keypoints"])
+def test_sequences_refuse_fps_that_is_not_a_finite_positive_number(make, fps):
+    with pytest.raises(ValueError, match="fps must be a finite positive number"):
+        if make == "controls":
+            ControlSequence(np.zeros((1, N_CHANNELS)), fps)
+        else:
+            KeypointSequence(np.zeros((1, N_POINTS, 3)), fps)
+
+
 def test_euler_stack_matches_per_matrix():
     rng = np.random.default_rng(8)
     angles = rng.uniform((-90, -60, -45), (90, 60, 45), (2, 25, 3))
