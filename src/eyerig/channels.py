@@ -150,6 +150,13 @@ def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     return f"must be a {what}, got {x!r}"
 
 
+def _check_version(payload: dict, expected: int, what: str, path) -> None:
+    """The one file-format version rule: exactly the int `expected`, not true or 1.0."""
+    version = payload.get("version")
+    if type(version) is not int or version != expected:
+        raise ValueError(f"unsupported {what} version {version!r} in {path}")
+
+
 @dataclass(frozen=True)
 class ControlSequence:
     """A fixed-rate sequence of control vectors, shape (frames, 17)."""
@@ -386,8 +393,7 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
                 raise ValueError(f"malformed sidecar {sidecar}: {exc}") from exc
         if not isinstance(meta, dict) or "fps" not in meta:
             raise ValueError(f"sidecar {sidecar} lacks an fps field")
-        if meta.get("version") != CSV_FORMAT_VERSION:
-            raise ValueError(f"unsupported controls format version {meta.get('version')!r}")
+        _check_version(meta, CSV_FORMAT_VERSION, "controls format", sidecar)
         fps = meta["fps"]
     rows: list[list[float]] = []
     with open(path, newline="") as fh:

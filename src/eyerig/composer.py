@@ -15,7 +15,7 @@ from .channels import (
     resample_sequence,
 )
 from .library import PrototypeLibrary, query
-from .planner import Plan, validate_plan
+from .planner import Plan
 
 __all__ = [
     "rescale_amplitude",
@@ -110,10 +110,6 @@ def compose(
     retrieval hits instead of always taking the best one; the draw is seeded,
     so outputs stay reproducible.
     """
-    report = validate_plan(p)
-    if not report.ok:
-        msgs = "; ".join(v.message for v in report.violations)
-        raise ValueError(f"cannot compose an invalid plan: {msgs}")
     if len(lib) == 0:
         raise ValueError("no prototypes available")
     if sample_k < 1:

@@ -27,7 +27,6 @@ from .planner import (
     parse_instructions,
     plan as build_plan,
     signature_channels,
-    validate_plan,
 )
 
 __all__ = [
@@ -150,9 +149,7 @@ def _exempt_mask(p: Plan | None, rule: str, n_frames: int) -> np.ndarray:
         return mask
     for ev in p.events:
         if rule in ev.exemptions:
-            lo = max(ev.start_frame - 1, 0)
-            hi = min(ev.end_frame, n_frames)
-            mask[lo:hi] = True
+            mask[ev.start_frame - 1 : ev.end_frame] = True  # a slice stops at n_frames
     return mask
 
 
@@ -395,19 +392,19 @@ def check_semantic(
 ) -> list[Violation]:
     """Does the sequence do what the plan and instructions asked for?
 
-    Checks: structural agreement with the plan (event_order), per-event target
-    attainment inside seam-guarded cores (event_target), instruction keywords
-    realized (instruction_consistency), and the label's committed channels
-    actually active (label_signature).  The stage table in `templates`
-    supplies the signatures; a label it does not hold has none.
+    Checks: the sequence is as long as the plan (event_order), per-event
+    target attainment inside seam-guarded cores (event_target), instruction
+    keywords realized (instruction_consistency), and the label's committed
+    channels actually active (label_signature).  The stage table in
+    `templates` supplies the signatures; a label it does not hold has none.
     """
     rules = rules or RuleSet()
     v = seq.values
-    order = [(pv.channel, pv.message, pv.frame) for pv in validate_plan(p).violations]
     if len(v) != p.total_frames:
-        order.append(("", f"sequence has {len(v)} frames, plan covers {p.total_frames}", None))
-    # a sequence that does not fit its plan leaves nothing else to check
-    checks = {"event_order": order} if order else {
+        # a sequence that does not fit its plan leaves nothing else to check
+        message = f"sequence has {len(v)} frames, plan covers {p.total_frames}"
+        return [Violation("event_order", "", message)]
+    checks = {
         "event_target": _target_misses(v, p, rules),
         "instruction_consistency": _instruction_misses(v, instructions, rules),
         "label_signature": _signature_misses(v, p, rules, templates),

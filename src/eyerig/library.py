@@ -18,6 +18,7 @@ from .channels import (
     N_CHANNELS,
     N_GAZE,
     ControlSequence,
+    _check_version,
 )
 from .mapper import (
     GAZE_POINT_INDICES,
@@ -218,9 +219,7 @@ def load_library(path: str | Path) -> PrototypeLibrary:
             raise ValueError(f"malformed library file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise ValueError(f"malformed library file {path}: missing version")
-    version = payload["version"]
-    if type(version) is not int or version != LIBRARY_FORMAT_VERSION:  # JSON true is not 1
-        raise ValueError(f"unsupported library version {version!r} in {path}")
+    _check_version(payload, LIBRARY_FORMAT_VERSION, "library", path)
     entries = payload.get("prototypes")
     if not isinstance(entries, list):
         raise ValueError(f"malformed library file {path}: prototypes must be a list")

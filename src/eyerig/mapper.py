@@ -451,15 +451,15 @@ def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:
         raise ValueError(f"{path}: unsupported layout {payload.get('layout')!r}")
     if "fps" not in payload or "frames" not in payload:
         raise ValueError(f"{path}: missing fps or frames")
-    frames = np.asarray(payload["frames"], dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[1] != N_POINTS:
-        raise ValueError(f"{path}: frames must have shape (T, {N_POINTS}, {dims}), got {frames.shape}")
-    if frames.shape[2] != dims:
-        raise ValueError(
-            f"{path}: needs {dims}-D keypoints, found {frames.shape[2]}-D "
-            "(map writes 2-D, map --three-d writes 3-D)"
-        )
     try:
+        frames = np.asarray(payload["frames"], dtype=np.float64)
+        if frames.ndim != 3 or frames.shape[1] != N_POINTS:
+            raise ValueError(f"frames must have shape (T, {N_POINTS}, {dims}), got {frames.shape}")
+        if frames.shape[2] != dims:
+            raise ValueError(
+                f"needs {dims}-D keypoints, found {frames.shape[2]}-D "
+                "(map writes 2-D, map --three-d writes 3-D)"
+            )
         return KeypointSequence(frames, payload["fps"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # numpy raises these for ragged or non-numeric frames
         raise ValueError(f"{path}: {exc}") from None

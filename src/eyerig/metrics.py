@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import AU_NAMES, ControlSequence, channel_index
+from .channels import AU_NAMES, ControlSequence, _number_problem, channel_index
 from .mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL
 from .planner import TEMPLATES, signature_aus
 
@@ -208,8 +208,8 @@ def load_metric_config(path: str | Path) -> MetricConfig:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: metric config must be an object")
     threshold = payload.get("activation_threshold", 0.1)
-    if not isinstance(threshold, (int, float)) or not 0.0 <= threshold < 1.0:
-        raise ValueError(f"{path}: activation_threshold must be in [0, 1)")
+    if _number_problem(threshold, "non-negative") or not threshold < 1.0:
+        raise ValueError(f"{path}: activation_threshold must be in [0, 1), got {threshold!r}")
     override = payload.get("signature_override", {})
     if not isinstance(override, dict):
         raise ValueError(f"{path}: signature_override must be an object")

@@ -9,6 +9,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .channels import _check_version, _number_problem
+
 __all__ = [
     "fm_interpolate",
     "fm_loss",
@@ -111,6 +113,14 @@ class KtoExample:
     reward: float
     desirable: bool
 
+    def __post_init__(self) -> None:
+        problem = _number_problem(self.reward)
+        if problem:
+            raise ValueError(f"reward {problem}")
+        if not isinstance(self.desirable, bool):
+            raise ValueError(f"desirable must be true or false, got {self.desirable!r}")
+        object.__setattr__(self, "reward", float(self.reward))
+
 
 @dataclass(frozen=True)
 class KtoManifest:
@@ -123,8 +133,12 @@ class KtoManifest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "examples", tuple(self.examples))
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta:g}")
+        for name in ("beta", "desirable_weight", "undesirable_weight"):
+            value = getattr(self, name)
+            problem = _number_problem(value, "positive" if name == "beta" else "non-negative")
+            if problem:
+                raise ValueError(f"{name} {problem}")
+            object.__setattr__(self, name, float(value))
 
 
 def kto_manifest_loss(manifest: KtoManifest, z_ref: float | None = None) -> float:
@@ -166,12 +180,7 @@ def load_kto_manifest(path: str | Path) -> KtoManifest:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: manifest must be an object")
-    version = payload.get("version")
-    if version != KTO_MANIFEST_VERSION:
-        raise ValueError(
-            f"{path}: unsupported manifest version {version!r}, "
-            f"expected {KTO_MANIFEST_VERSION}"
-        )
+    _check_version(payload, KTO_MANIFEST_VERSION, "manifest", path)
     raw = payload.get("examples")
     if not isinstance(raw, list):
         raise ValueError(f"{path}: examples must be a list")
@@ -180,18 +189,17 @@ def load_kto_manifest(path: str | Path) -> KtoManifest:
         if not isinstance(e, dict):
             raise ValueError(f"{path}: examples[{k}] must be an object")
         try:
-            examples.append(
-                KtoExample(
-                    sample_id=str(e["id"]),
-                    reward=float(e["reward"]),
-                    desirable=bool(e["desirable"]),
-                )
-            )
+            examples.append(KtoExample(str(e["id"]), e["reward"], e["desirable"]))
         except KeyError as exc:
             raise ValueError(f"{path}: examples[{k}] missing key {exc}") from exc
-    return KtoManifest(
-        examples=tuple(examples),
-        beta=float(payload.get("beta", 625.0)),
-        desirable_weight=float(payload.get("desirable_weight", 1.0)),
-        undesirable_weight=float(payload.get("undesirable_weight", 1.0)),
-    )
+        except ValueError as exc:
+            raise ValueError(f"{path}: examples[{k}].{exc}") from None
+    try:
+        return KtoManifest(
+            examples=tuple(examples),
+            beta=payload.get("beta", 625.0),
+            desirable_weight=payload.get("desirable_weight", 1.0),
+            undesirable_weight=payload.get("undesirable_weight", 1.0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

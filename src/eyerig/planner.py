@@ -13,8 +13,7 @@ from .channels import (
     CHANNEL_RANGES,
     DIRECTIONS,
     HEAD_NAMES,
-    ValidationReport,
-    Violation,
+    _check_version,
     _number_problem,
     opposing_gaze,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Plan",
     "InstructionIntent",
     "plan",
-    "validate_plan",
     "parse_instructions",
     "signature_channels",
     "signature_aus",
@@ -343,18 +341,25 @@ class StagedEvent:
     channel_targets: dict[str, tuple[float, float]]
     exemptions: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "channel_targets", dict(self.channel_targets))
-        object.__setattr__(self, "exemptions", frozenset(self.exemptions))
-
     @property
     def n_frames(self) -> int:
         return self.end_frame - self.start_frame + 1
 
 
+def _fail(path: str, message: str) -> ValueError:
+    return ValueError(f"{path}: {message}")
+
+
 @dataclass(frozen=True)
 class Plan:
-    """Ordered staged events covering [1, total_frames] at a fixed rate."""
+    """Ordered staged events covering [1, total_frames] at a fixed rate.
+
+    Valid by construction: a non-empty label, positive fps and int
+    total_frames, int event frames partitioning [1, total_frames] in order,
+    and legal targets; else ValueError naming the field as a JSON path.  It
+    stores its events as a tuple, with float-pair targets and frozenset
+    exemptions, and fps as a float.
+    """
 
     label: str
     events: tuple[StagedEvent, ...]
@@ -362,7 +367,42 @@ class Plan:
     fps: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+        if not isinstance(self.label, str) or not self.label:
+            raise _fail("label", "must be a non-empty string")
+        for name, integer in (("fps", False), ("total_frames", True)):
+            problem = _number_problem(getattr(self, name), "positive", integer=integer)
+            if problem:
+                raise _fail(name, problem)
+        events = []
+        cursor = 1
+        for k, ev in enumerate(self.events):
+            path = f"events[{k}]"
+            start, end = ev.start_frame, ev.end_frame
+            if _number_problem(start, integer=True) or _number_problem(end, integer=True):
+                raise _fail(path, "start_frame and end_frame must be integers")
+            if start != cursor:
+                raise _fail(
+                    f"{path}.start_frame",
+                    f"events do not partition duration (expected {cursor}, got {start})",
+                )
+            if end < start:
+                raise _fail(f"{path}.end_frame", f"must be >= start_frame {start}")
+            targets = {}
+            for name, interval in ev.channel_targets.items():
+                problems = _target_problems(name, interval)
+                if problems:
+                    raise _fail(f"{path}.channel_targets.{name}", problems[0])
+                targets[name] = (float(interval[0]), float(interval[1]))
+            events.append(StagedEvent(start, end, ev.semantics, targets, frozenset(ev.exemptions)))
+            cursor = end + 1
+        if cursor - 1 != self.total_frames:
+            raise _fail(
+                "events",
+                f"events do not partition duration (cover 1..{cursor - 1}, "
+                f"total_frames {self.total_frames})",
+            )
+        object.__setattr__(self, "events", tuple(events))
+        object.__setattr__(self, "fps", float(self.fps))
 
 
 @dataclass(frozen=True)
@@ -547,10 +587,9 @@ def plan(
     if label not in templates:
         known = ", ".join(templates)
         raise ValueError(f"unknown label {label!r}; expected one of: {known}")
-    if total_frames < 1:
-        raise ValueError(f"total_frames must be >= 1, got {total_frames}")
-    if not fps > 0:
-        raise ValueError(f"fps must be positive, got {fps!r}")
+    problem = _number_problem(total_frames, "positive", integer=True)
+    if problem:
+        raise _fail("total_frames", problem)
     pose = tuple(float(v) for v in initial_pose)
     if len(pose) != 3:
         raise ValueError("initial_pose must be (yaw, pitch, roll)")
@@ -620,74 +659,7 @@ def plan(
         )
         for ev in raw_events
     )
-    return Plan(label=label, events=events, total_frames=total_frames, fps=float(fps))
-
-
-def validate_plan(p: Plan) -> ValidationReport:
-    """Structural checks: coverage, ordering, target ranges; rules plan_*."""
-    report = ValidationReport()
-    if not p.events:
-        report.violations.append(Violation("plan_empty", "", "plan has no events"))
-        return report
-    if p.total_frames < 1:
-        report.violations.append(
-            Violation("plan_span", "", f"total_frames must be >= 1, got {p.total_frames}")
-        )
-    if p.events[0].start_frame != 1:
-        report.violations.append(
-            Violation(
-                "plan_span",
-                "",
-                f"first event starts at frame {p.events[0].start_frame}, expected 1",
-            )
-        )
-    if p.events[-1].end_frame != p.total_frames:
-        report.violations.append(
-            Violation(
-                "plan_span",
-                "",
-                f"last event ends at frame {p.events[-1].end_frame}, expected {p.total_frames}",
-            )
-        )
-    prev_end: int | None = None
-    for k, ev in enumerate(p.events):
-        if ev.start_frame > ev.end_frame:
-            report.violations.append(
-                Violation(
-                    "plan_span",
-                    "",
-                    f"events[{k}] has start_frame {ev.start_frame} > end_frame {ev.end_frame}",
-                    frame=ev.start_frame,
-                )
-            )
-        if prev_end is not None:
-            if ev.start_frame > prev_end + 1:
-                report.violations.append(
-                    Violation(
-                        "plan_gap",
-                        "",
-                        f"gap between frame {prev_end} and events[{k}] at {ev.start_frame}",
-                        frame=prev_end + 1,
-                    )
-                )
-            elif ev.start_frame <= prev_end:
-                report.violations.append(
-                    Violation(
-                        "plan_overlap",
-                        "",
-                        f"events[{k}] starts at {ev.start_frame} inside the previous event",
-                        frame=ev.start_frame,
-                    )
-                )
-        prev_end = ev.end_frame
-        for name, interval in ev.channel_targets.items():
-            for problem in _target_problems(name, interval):
-                report.violations.append(
-                    Violation(
-                        "plan_target_range", name, f"events[{k}].channel_targets.{name}: {problem}"
-                    )
-                )
-    return report
+    return Plan(label=label, events=events, total_frames=total_frames, fps=fps)
 
 
 def signature_channels(
@@ -733,8 +705,7 @@ def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
             raise ValueError(f"template table {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         _table_fail(str(path), "top level must be an object")
-    if payload.get("version") != TEMPLATE_TABLE_VERSION:
-        _table_fail(str(path), f"unsupported version {payload.get('version')!r}")
+    _check_version(payload, TEMPLATE_TABLE_VERSION, "template table", path)
     cats = payload.get("categories")
     if not isinstance(cats, dict) or not cats:
         _table_fail(str(path), "categories must be a non-empty object")
@@ -776,15 +747,10 @@ def encode_plan(p: Plan) -> str:
     return json.dumps(_plan_payload(p), sort_keys=True, indent=2) + "\n"
 
 
-def _fail(path: str, message: str) -> ValueError:
-    return ValueError(f"{path}: {message}")
-
-
 def decode_agent_plan(text: str) -> Plan:
-    """Parse and validate an externally produced plan JSON.
+    """Parse an externally produced plan JSON; errors carry the JSON field path.
 
-    Errors carry the JSON field path.  Events must exactly partition
-    [1, total_frames] in order.
+    Only the JSON shape is checked here; the Plan checks its own values.
     """
     try:
         payload = json.loads(text)
@@ -792,65 +758,26 @@ def decode_agent_plan(text: str) -> Plan:
         raise ValueError(f"plan payload is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise _fail("$", "plan payload must be an object")
-    label = payload.get("label")
-    if not isinstance(label, str) or not label:
-        raise _fail("label", "must be a non-empty string")
-    fps = payload.get("fps")
-    problem = _number_problem(fps, "positive")
-    if problem:
-        raise _fail("fps", problem)
-    total = payload.get("total_frames")
-    problem = _number_problem(total, "positive", integer=True)
-    if problem:
-        raise _fail("total_frames", problem)
     events_raw = payload.get("events")
-    if not isinstance(events_raw, list) or not events_raw:
-        raise _fail("events", "must be a non-empty list")
+    if not isinstance(events_raw, list):
+        raise _fail("events", "must be a list")
     events: list[StagedEvent] = []
-    cursor = 1
     for k, ev in enumerate(events_raw):
         path = f"events[{k}]"
         if not isinstance(ev, dict):
             raise _fail(path, "must be an object")
-        start = ev.get("start_frame")
-        end = ev.get("end_frame")
-        if _number_problem(start, integer=True) or _number_problem(end, integer=True):
-            raise _fail(path, "start_frame and end_frame must be integers")
-        if start != cursor:
-            raise _fail(
-                f"{path}.start_frame",
-                f"events do not partition duration (expected {cursor}, got {start})",
-            )
-        if end < start:
-            raise _fail(f"{path}.end_frame", f"must be >= start_frame {start}")
         semantics = ev.get("semantics", "")
         if not isinstance(semantics, str):
             raise _fail(f"{path}.semantics", "must be a string")
-        targets_raw = ev.get("channel_targets", {})
-        if not isinstance(targets_raw, dict):
+        targets = ev.get("channel_targets", {})
+        if not isinstance(targets, dict):
             raise _fail(f"{path}.channel_targets", "must be an object")
-        targets: dict[str, tuple[float, float]] = {}
-        for name, interval in targets_raw.items():
-            problems = _target_problems(name, interval)
-            if problems:
-                raise _fail(f"{path}.channel_targets.{name}", problems[0])
-            targets[name] = (float(interval[0]), float(interval[1]))
-        exempt_raw = ev.get("exemptions", [])
-        if not isinstance(exempt_raw, list) or not all(isinstance(x, str) for x in exempt_raw):
+        exempt = ev.get("exemptions", [])
+        if not isinstance(exempt, list) or not all(isinstance(x, str) for x in exempt):
             raise _fail(f"{path}.exemptions", "must be a list of rule ids")
         events.append(
-            StagedEvent(
-                start_frame=start,
-                end_frame=end,
-                semantics=semantics,
-                channel_targets=targets,
-                exemptions=frozenset(exempt_raw),
-            )
+            StagedEvent(ev.get("start_frame"), ev.get("end_frame"), semantics, targets, exempt)
         )
-        cursor = end + 1
-    if cursor - 1 != total:
-        raise _fail(
-            "events",
-            f"events do not partition duration (cover 1..{cursor - 1}, total_frames {total})",
-        )
-    return Plan(label=label, events=tuple(events), total_frames=total, fps=float(fps))
+    return Plan(
+        payload.get("label"), tuple(events), payload.get("total_frames"), payload.get("fps")
+    )

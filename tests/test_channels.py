@@ -1,4 +1,6 @@
 """Control-space invariants, validation rules, resampling, and CSV round trips."""
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from eyerig.channels import (
     validate_control_state,
     validate_sequence,
 )
+from eyerig.library import build_library, load_library, save_library
 from eyerig.mapper import map_sequence
+from eyerig.objectives import KtoExample, KtoManifest, load_kto_manifest, save_kto_manifest
+from eyerig.planner import load_template_table
 
 
 def vec(**channels):
@@ -276,3 +281,48 @@ def test_csv_bad_header_errors(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         load_controls_csv(path, fps=25.0)
+
+
+def _versioned_controls(tmp_path):
+    save_controls_csv(ControlSequence(np.zeros((2, N_CHANNELS)), 25.0), tmp_path / "x.csv")
+    return tmp_path / "x.meta.json", lambda: load_controls_csv(tmp_path / "x.csv")
+
+
+def _versioned_library(tmp_path):
+    seq = ControlSequence(np.zeros((2, N_CHANNELS)), 25.0)
+    save_library(build_library([("calm", seq)]), tmp_path / "lib.json")
+    return tmp_path / "lib.json", lambda: load_library(tmp_path / "lib.json")
+
+
+def _versioned_table(tmp_path):
+    stage = {"ratio": 1.0, "semantics": "hold", "targets": {"AU1": [0.1, 0.2]}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"version": 1, "categories": {"calm": [stage]}}))
+    return path, lambda: load_template_table(path)
+
+
+def _versioned_manifest(tmp_path):
+    save_kto_manifest(KtoManifest((KtoExample("a", 0.1, True),)), tmp_path / "prefs.json")
+    return tmp_path / "prefs.json", lambda: load_kto_manifest(tmp_path / "prefs.json")
+
+
+# One version rule behind every versioned file: the version is the int 1.
+VERSIONED_LOADERS = {
+    "controls_sidecar": _versioned_controls,
+    "library": _versioned_library,
+    "template_table": _versioned_table,
+    "kto_manifest": _versioned_manifest,
+}
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+@pytest.mark.parametrize("loader", sorted(VERSIONED_LOADERS))
+def test_format_version_is_the_int_one(tmp_path, loader, version):
+    path, load = VERSIONED_LOADERS[loader](tmp_path)
+    load()  # as written: version 1
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 1
+    payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"unsupported .* version {version!r} in \S*{path.name}"):
+        load()

@@ -270,6 +270,16 @@ def test_keypoint_json_bad_layout(tmp_path):
         load_keypoints_json(path, dims=2)
 
 
+@pytest.mark.parametrize(
+    "frames", [[[[0.5, 0.5]] * N_POINTS, [[0.5, 0.5]] * 5], [[["a", 0.5]] * N_POINTS]]
+)
+def test_keypoint_json_malformed_frames_name_file(tmp_path, frames):
+    path = tmp_path / "rag.json"
+    path.write_text(json.dumps({"fps": 25.0, "layout": KEYPOINT_LAYOUT, "frames": frames}))
+    with pytest.raises(ValueError, match=r"rag\.json: (setting an array element|could not convert)"):
+        load_keypoints_json(path, dims=2)
+
+
 @pytest.mark.parametrize("dims, found", [(2, 3), (3, 2)])
 def test_keypoint_json_wrong_dims_names_file_and_dims(tmp_path, dims, found):
     path = tmp_path / "kp.json"

@@ -338,10 +338,11 @@ class TestMetricConfig:
         assert cfg.activation_threshold == 0.2
         assert cfg.channels_for("anger") == ("AU4_L", "AU4_R")
 
-    def test_bad_threshold(self, tmp_path):
+    @pytest.mark.parametrize("threshold", ["1.5", "1.0", "-0.1", "false", "true", '"0.2"', "NaN"])
+    def test_bad_threshold(self, tmp_path, threshold):
         path = tmp_path / "metrics.json"
-        path.write_text('{"activation_threshold": 1.5}')
-        with pytest.raises(ValueError, match="activation_threshold"):
+        path.write_text('{"activation_threshold": %s}' % threshold)
+        with pytest.raises(ValueError, match=r"activation_threshold must be in \[0, 1\), got"):
             load_metric_config(path)
 
     def test_bad_override_channel(self, tmp_path):

@@ -1,4 +1,8 @@
 """Velocity-target regression and preference loss behavior."""
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -203,3 +207,32 @@ class TestManifest:
         path.write_text("{broken")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_kto_manifest(path)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("desirable", "false", "examples[1].desirable must be true or false, got 'false'"),
+            ("desirable", 0, "examples[1].desirable must be true or false, got 0"),
+            ("reward", True, "examples[1].reward must be a finite number, got True"),
+            ("reward", "0.1", "examples[1].reward must be a finite number, got '0.1'"),
+            ("reward", math.nan, "examples[1].reward must be a finite number, got nan"),
+            ("beta", math.nan, "beta must be a finite positive number, got nan"),
+            ("beta", "625", "beta must be a finite positive number, got '625'"),
+            ("beta", 0, "beta must be a finite positive number, got 0"),
+            ("desirable_weight", True, "desirable_weight must be a finite non-negative"),
+            ("undesirable_weight", -1.0, "undesirable_weight must be a finite non-negative"),
+        ],
+    )
+    def test_malformed_values_named(self, tmp_path, field, value, error):
+        path = tmp_path / "prefs.json"
+        save_kto_manifest(self._manifest(), path)
+        payload = json.loads(path.read_text())
+        (payload["examples"][1] if field in ("desirable", "reward") else payload)[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"prefs.json: {error}")):
+            load_kto_manifest(path)
+
+    @pytest.mark.parametrize("field", ["beta", "desirable_weight", "undesirable_weight"])
+    def test_manifest_checks_its_numbers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            KtoManifest(examples=(), **{field: math.nan})

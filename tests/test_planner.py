@@ -18,7 +18,6 @@ from eyerig.planner import (
     plan,
     signature_aus,
     signature_channels,
-    validate_plan,
 )
 
 EXPECTED_CATEGORIES = {
@@ -48,8 +47,6 @@ def test_all_categories_produce_valid_plans(label, total):
     p = plan(label, total, 25.0)
     assert p.label == label
     assert p.total_frames == total
-    report = validate_plan(p)
-    assert report.ok, [v.message for v in report.violations]
     # exact coverage, in order
     assert p.events[0].start_frame == 1
     assert p.events[-1].end_frame == total
@@ -83,7 +80,6 @@ def test_short_duration_merges_stages():
     # union of stage targets, later stages override earlier ones
     assert "AU5_L" in ev.channel_targets
     assert "AU1" in ev.channel_targets
-    assert validate_plan(p).ok
 
 
 def test_every_stage_gets_at_least_one_frame():
@@ -108,6 +104,21 @@ def test_bad_duration_and_fps_rejected():
         plan("anger", 0, 25.0)
     with pytest.raises(ValueError, match="fps"):
         plan("anger", 50, 0.0)
+
+
+@pytest.mark.parametrize(
+    "total, fps, error",
+    [
+        (2.5, 25.0, "total_frames: must be a finite positive integer, got 2.5"),
+        (True, 25.0, "total_frames: must be a finite positive integer, got True"),
+        (10, math.inf, "fps: must be a finite positive number, got inf"),
+        (10, True, "fps: must be a finite positive number, got True"),
+        (10, math.nan, "fps: must be a finite positive number, got nan"),
+    ],
+)
+def test_plan_applies_the_number_rule(total, fps, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        plan("anger", total, fps)
 
 
 def test_initial_pose_out_of_range_rejected():
@@ -258,43 +269,80 @@ def test_signature_unknown_label():
 
 
 class TestValidatePlanViolations:
+    """Plan construction refuses a broken plan, naming the field as a JSON path."""
+
     def _mk(self, events, total=20):
         return Plan(label="anger", events=tuple(events), total_frames=total, fps=25.0)
 
+    def _refused(self, events, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            self._mk(events)
+
     def test_empty_plan(self):
-        report = validate_plan(self._mk([]))
-        assert [v.rule for v in report.violations] == ["plan_empty"]
+        self._refused([], "events: events do not partition duration (cover 1..0, total_frames 20)")
 
     def test_gap(self):
         events = [
             StagedEvent(1, 10, "a", {}),
             StagedEvent(12, 20, "b", {}),
         ]
-        rules = [v.rule for v in validate_plan(self._mk(events)).violations]
-        assert "plan_gap" in rules
+        error = "events[1].start_frame: events do not partition duration (expected 11, got 12)"
+        self._refused(events, error)
 
     def test_overlap(self):
         events = [
             StagedEvent(1, 10, "a", {}),
             StagedEvent(10, 20, "b", {}),
         ]
-        rules = [v.rule for v in validate_plan(self._mk(events)).violations]
-        assert "plan_overlap" in rules
+        error = "events[1].start_frame: events do not partition duration (expected 11, got 10)"
+        self._refused(events, error)
 
     def test_span(self):
-        events = [StagedEvent(2, 20, "a", {})]
-        rules = [v.rule for v in validate_plan(self._mk(events)).violations]
-        assert "plan_span" in rules
+        self._refused(
+            [StagedEvent(2, 20, "a", {})],
+            "events[0].start_frame: events do not partition duration (expected 1, got 2)",
+        )
+        self._refused(
+            [StagedEvent(1, 19, "a", {})],
+            "events: events do not partition duration (cover 1..19, total_frames 20)",
+        )
+        self._refused([StagedEvent(1, 0, "a", {})], "events[0].end_frame: must be >= start_frame 1")
 
     def test_target_out_of_range(self):
         events = [StagedEvent(1, 20, "a", {"AU1": (0.5, 1.5)})]
-        rules = [v.rule for v in validate_plan(self._mk(events)).violations]
-        assert rules == ["plan_target_range"]
+        self._refused(events, "events[0].channel_targets.AU1: [0.5, 1.5] outside legal [0, 1]")
 
     def test_unknown_channel(self):
         events = [StagedEvent(1, 20, "a", {"AU99": (0.1, 0.2)})]
-        rules = [v.rule for v in validate_plan(self._mk(events)).violations]
-        assert rules == ["plan_target_range"]
+        self._refused(events, "events[0].channel_targets.AU99: unknown channel")
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("label", "", "label: must be a non-empty string"),
+            ("label", None, "label: must be a non-empty string"),
+            ("fps", math.inf, "fps: must be a finite positive number, got inf"),
+            ("fps", True, "fps: must be a finite positive number, got True"),
+            ("total_frames", 20.0, "total_frames: must be a finite positive integer, got 20.0"),
+            ("total_frames", 0, "total_frames: must be a finite positive integer, got 0"),
+        ],
+    )
+    def test_header_fields(self, field, value, error):
+        fields = {"label": "anger", "events": (StagedEvent(1, 20, "a", {}),),
+                  "total_frames": 20, "fps": 25.0}
+        with pytest.raises(ValueError, match=re.escape(error)):
+            Plan(**(fields | {field: value}))
+
+    def test_frames_are_ints(self):
+        self._refused([StagedEvent(1, 20.0, "a", {})], "events[0]: start_frame and end_frame")
+        self._refused([StagedEvent(True, 20, "a", {})], "events[0]: start_frame and end_frame")
+
+    def test_normal_form(self):
+        p = Plan("anger", [StagedEvent(1, 20, "a", {"AU1": [0, 1]})], 20, 25)
+        assert isinstance(p.events, tuple)
+        assert type(p.fps) is float
+        assert p.events[0].channel_targets == {"AU1": (0.0, 1.0)}
+        assert all(type(x) is float for x in p.events[0].channel_targets["AU1"])
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_CATEGORIES))
@@ -495,7 +543,7 @@ class TestTemplateTable:
             TEMPLATES["anger"][0][2]["AU7"] = (0.0, 0.1)
 
 
-# One target-interval rule behind validate_plan, decode_agent_plan and
+# One target-interval rule behind Plan construction, decode_agent_plan and
 # load_template_table: (channel, interval, problem, accepted by templates).
 _NAN = math.nan
 INTERVAL_CASES = {
@@ -516,14 +564,15 @@ INTERVAL_CASES = {
 def test_target_interval_rule(tmp_path, case):
     name, interval, problem, template_ok = INTERVAL_CASES[case]
 
-    # validate_plan: a plan_target_range violation, or a clean report
-    p = Plan("anger", (StagedEvent(1, 20, "a", {name: tuple(interval)}),), 20, 25.0)
-    violations = validate_plan(p).violations
+    # Plan construction: raises with the JSON path of the target, or keeps it
+    events = (StagedEvent(1, 20, "a", {name: tuple(interval)}),)
     if problem is None:
-        assert violations == []
+        p = Plan("anger", events, 20, 25.0)
+        assert p.events[0].channel_targets[name] == tuple(interval)
     else:
-        assert [v.rule for v in violations] == ["plan_target_range"]
-        assert problem in violations[0].message
+        path = f"events[0].channel_targets.{name}: "
+        with pytest.raises(ValueError, match=re.escape(path) + ".*" + re.escape(problem)):
+            Plan("anger", events, 20, 25.0)
 
     # decode_agent_plan: raises with the JSON path of the target
     payload = json.loads(encode_plan(plan("anger", 20, 25.0)))
