@@ -338,8 +338,14 @@ class TestMetricConfig:
         assert cfg.activation_threshold == 0.2
         assert cfg.channels_for("anger") == ("AU4_L", "AU4_R")
 
-    @pytest.mark.parametrize("threshold", ["1.5", "1.0", "-0.1", "false", "true", '"0.2"', "NaN"])
-    def test_bad_threshold(self, tmp_path, threshold):
+    def test_bad_threshold(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text('{"activation_threshold": 1.5}')
+        with pytest.raises(ValueError, match=r"activation_threshold must be in \[0, 1\), got"):
+            load_metric_config(path)
+
+    @pytest.mark.parametrize("threshold", ["1.0", "-0.1", "false", "true", '"0.2"', "NaN"])
+    def test_bad_threshold_values(self, tmp_path, threshold):
         path = tmp_path / "metrics.json"
         path.write_text('{"activation_threshold": %s}' % threshold)
         with pytest.raises(ValueError, match=r"activation_threshold must be in \[0, 1\), got"):
