@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .channels import (
     CHANNEL_RANGES,
@@ -22,13 +21,13 @@ from .channels import (
 )
 from .mapper import (
     GAZE_POINT_INDICES,
-    MIRROR_PERMUTATION,
     N_POINTS,
     DeformationModel,
     KeypointSequence,
     _write_json_streamed,
     default_model,
     euler_from_rotation,
+    mirror_points,
 )
 
 __all__ = [
@@ -74,9 +73,7 @@ class NeutralBaseline:
             raise ValueError(f"baseline must have shape ({N_POINTS}, 3), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("baseline contains non-finite values")
-        mirrored = arr[MIRROR_PERMUTATION].copy()
-        mirrored[:, 0] = -mirrored[:, 0]
-        if np.max(np.abs(arr - mirrored)) > 1e-6:
+        if np.max(np.abs(arr - mirror_points(arr))) > 1e-6:
             raise ValueError("baseline is not bilaterally symmetric about the midline")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -270,6 +267,18 @@ def _anchor_points(model: DeformationModel) -> np.ndarray:
     if sv[1] < 1e-6:  # collinear anchors cannot fix a rotation
         return np.empty(0, dtype=np.intp)
     return ids.astype(np.intp)
+
+
+def nnls(A: np.ndarray, b: np.ndarray):
+    """`scipy.optimize.nnls(A, b)`, imported on the first call.
+
+    Only inversion needs scipy, so no other command pays for importing it.
+    `invert_controls` looks this name up at call time, so wrapping the module
+    attribute sees every solve.
+    """
+    from scipy.optimize import nnls as solve
+
+    return solve(A, b)
 
 
 # Pre-computed index sets for the inversion's two residual sub-problems.

@@ -222,11 +222,9 @@ def _assemble_template() -> np.ndarray:
     pts[list(LEFT_IRIS)] = left["iris"]
     pts[LEFT_PUPIL] = left["pupil"][0]
     pts[list(LEFT_BROW)] = left["brow"]
-    # right side is the exact mirror of the left; fill via the permutation
-    mirrored = pts[MIRROR_PERMUTATION].copy()
-    mirrored[:, 0] = -mirrored[:, 0]
+    # right side is the exact mirror of the left
     right_ids = list(RIGHT_EYE_BLOCK) + list(RIGHT_BROW)
-    pts[right_ids] = mirrored[right_ids]
+    pts[right_ids] = mirror_points(pts)[right_ids]
     return pts
 
 
@@ -265,25 +263,20 @@ def _build_au_bases() -> np.ndarray:
             raise ValueError(name)
         return b
 
-    def mirrored(b: np.ndarray) -> np.ndarray:
-        m = b[MIRROR_PERMUTATION].copy()
-        m[:, 0] = -m[:, 0]
-        return m
-
     # AU1: bilateral inner-brow raise
     au1 = np.zeros((N_POINTS, 3))
     au1[list(LEFT_BROW), 1] = 0.030 * _brow_profile_inner(t)
-    bases[channel_index("AU1")] = au1 + mirrored(au1)
+    bases[channel_index("AU1")] = au1 + mirror_points(au1)
     for au in ("AU2", "AU4", "AU5", "AU43"):
         left = left_basis(au)
         bases[channel_index(f"{au}_L")] = left
-        bases[channel_index(f"{au}_R")] = mirrored(left)
+        bases[channel_index(f"{au}_R")] = mirror_points(left)
     # AU7: bilateral lid tightener; squared profile keeps it independent of
     # the AU5/AU43 lid fields
     au7 = np.zeros((N_POINTS, 3))
     au7[list(LEFT_UPPER_LID), 1] = -0.007 * sin_u**2
     au7[list(LEFT_LOWER_LID), 1] = 0.012 * sin_l**2
-    bases[channel_index("AU7")] = au7 + mirrored(au7)
+    bases[channel_index("AU7")] = au7 + mirror_points(au7)
     # snap float dust (sin(pi) etc.) so untouched points are exactly rigid
     bases[np.abs(bases) < 1e-12] = 0.0
     return bases

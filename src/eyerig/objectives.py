@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .channels import _check_version, _number_problem
 
@@ -83,6 +82,8 @@ def kto_loss(
     the reference point stop paying once saturated, losses below it stop
     hurting once saturated.
     """
+    from scipy.special import expit  # here, not at the top: nothing else needs scipy
+
     r = np.atleast_1d(np.asarray(rewards, dtype=np.float64))
     d = np.atleast_1d(np.asarray(desirable, dtype=bool))
     if r.shape != d.shape:
@@ -114,6 +115,8 @@ class KtoExample:
     desirable: bool
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.sample_id, str) and self.sample_id):
+            raise ValueError(f"id must be a non-empty string, got {self.sample_id!r}")
         problem = _number_problem(self.reward)
         if problem:
             raise ValueError(f"reward {problem}")
@@ -189,7 +192,7 @@ def load_kto_manifest(path: str | Path) -> KtoManifest:
         if not isinstance(e, dict):
             raise ValueError(f"{path}: examples[{k}] must be an object")
         try:
-            examples.append(KtoExample(str(e["id"]), e["reward"], e["desirable"]))
+            examples.append(KtoExample(e["id"], e["reward"], e["desirable"]))
         except KeyError as exc:
             raise ValueError(f"{path}: examples[{k}] missing key {exc}") from exc
         except ValueError as exc:

@@ -232,6 +232,24 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(f"prefs.json: {error}")):
             load_kto_manifest(path)
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(None, "None"), (7, "7"), ({"a": 1}, "{'a': 1}"), ("", "''"), (True, "True")],
+    )
+    def test_id_must_be_a_string(self, tmp_path, value, shown):
+        path = tmp_path / "prefs.json"
+        save_kto_manifest(self._manifest(), path)
+        payload = json.loads(path.read_text())
+        payload["examples"][1]["id"] = value
+        path.write_text(json.dumps(payload))
+        error = f"prefs.json: examples[1].id must be a non-empty string, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_kto_manifest(path)
+
+    def test_example_checks_its_id(self):
+        with pytest.raises(ValueError, match="id must be a non-empty string"):
+            KtoExample(None, 0.1, True)
+
     @pytest.mark.parametrize("field", ["beta", "desirable_weight", "undesirable_weight"])
     def test_manifest_checks_its_numbers(self, field):
         with pytest.raises(ValueError, match=f"{field} must be a finite"):
