@@ -150,6 +150,54 @@ def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     return f"must be a {what}, got {x!r}"
 
 
+def _refuse_unknown_keys(obj: dict, known, where: str) -> None:
+    """The one unknown-key rule: a misspelt key is refused, never dropped.
+
+    `where` names the object as `<file>: <json.path>`, or as the bare JSON
+    path when there is no file.
+    """
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _dumps_floats(arr: np.ndarray) -> str:
+    """`json.dumps(arr.tolist())` for a finite float64 array, byte for byte.
+
+    orjson, when it imports, encodes the array; it is imported on the first
+    call, so commands that write no arrays never load it.  Its text equals
+    `repr`'s for 0 and for magnitudes below 1e-9 or in [1e-4, 1e16).  Elsewhere
+    it writes fixed notation, an unpadded exponent or one without its sign
+    (`0.000015`, `1.5e-6`, `1e16`), so those values alone are re-encoded with
+    `json.dumps`.  Values are picked one by one, not per array: every 3-D
+    keypoint frame holds float dust (6.9e-18), and most blocks hold no odd value.
+    """
+    try:
+        import orjson
+    except ImportError:
+        return json.dumps(arr.tolist())
+    arr = np.ascontiguousarray(arr)
+    raw = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+    flat = arr.ravel()
+    mag = np.abs(flat)
+    odd = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-4)) | (mag >= 1e16))
+    if odd.size == 0:
+        return raw.decode().replace(",", ", ")
+    # Value i, with its brackets, is the text between commas i - 1 and i.  Only
+    # the odd values' pieces are cut out, so no list of every number is built.
+    commas = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    parts, pos = [], 0
+    for i in odd.tolist():
+        start = int(commas[i - 1]) + 1 if i else 0
+        end = int(commas[i]) if i < len(commas) else len(raw)
+        piece = raw[start:end].decode()
+        parts += [raw[pos:start].decode().replace(",", ", "),
+                  piece.replace(piece.strip("[]"), json.dumps(float(flat[i])))]
+        pos = end
+    parts.append(raw[pos:].decode().replace(",", ", "))
+    return "".join(parts)
+
+
 def _check_version(payload: dict, expected: int, what: str, path) -> None:
     """The one file-format version rule: exactly the int `expected`, not true or 1.0."""
     version = payload.get("version")
@@ -364,13 +412,15 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def save_controls_csv(seq: ControlSequence, path: str | Path) -> None:
-    """Write one row per frame plus a sidecar metadata JSON carrying fps."""
+    """Write one row per frame plus a sidecar metadata JSON carrying fps.
+
+    Values are written as `repr` writes them, so they read back bit-exact.
+    """
     path = Path(path)
+    rows = _dumps_floats(seq.values)[2:-2].replace(", ", ",").split("],[")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t in range(len(seq)):
-            writer.writerow([t + 1] + [repr(float(v)) for v in seq.values[t]])
+        csv.writer(fh).writerow(CSV_HEADER)
+        fh.writelines(f"{t},{row}\r\n" for t, row in enumerate(rows, start=1))
     meta = {"fps": float(seq.fps), "version": CSV_FORMAT_VERSION}
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, sort_keys=True)

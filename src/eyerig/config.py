@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .channels import N_CHANNELS, _number_problem
+from .channels import N_CHANNELS, _number_problem, _refuse_unknown_keys
 from .critic import RuleSet
 from .guidance import GuidanceParams
 from .planner import TEMPLATES, load_template_table
@@ -61,9 +61,7 @@ class PipelineConfig:
 def _sub_config(cls, raw, path: Path, name: str):
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: {name} must be an object")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"config {path} {name}: unknown fields {sorted(unknown)}")
+    _refuse_unknown_keys(raw, {f.name for f in dataclasses.fields(cls)}, f"config {path}: {name}")
     try:
         return cls(**raw)
     except ValueError as exc:
@@ -94,9 +92,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         "seed",
         "sample_k",
     }
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"config {path}: unknown fields {sorted(unknown)}")
+    _refuse_unknown_keys(payload, known, f"config {path}: $")
 
     kwargs: dict = {}
     for name in ("fps", "blend_frames", "query_weights", "seed", "sample_k"):

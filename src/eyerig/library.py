@@ -18,6 +18,7 @@ from .channels import (
     N_GAZE,
     ControlSequence,
     _check_version,
+    _dumps_floats,
 )
 from .mapper import (
     GAZE_POINT_INDICES,
@@ -192,6 +193,15 @@ def query(
     ]
 
 
+def _prototype_json(p: Prototype) -> str:
+    """`json.dumps` of a prototype's entry, keys sorted; keypoints only when it has them."""
+    fields = {"controls": _dumps_floats(p.controls.values), "fps": json.dumps(p.controls.fps),
+              "label": json.dumps(p.label)}
+    if p.keypoints is not None:
+        fields["keypoints"] = _dumps_floats(p.keypoints.frames)
+    return "".join(["{", ", ".join(f'"{k}": {v}' for k, v in sorted(fields.items())), "}"])
+
+
 def save_library(lib: PrototypeLibrary, path: str | Path) -> None:
     """Write the library JSON; floats round-trip bit-exact via repr.
 
@@ -199,12 +209,8 @@ def save_library(lib: PrototypeLibrary, path: str | Path) -> None:
     are encoded and written one at a time, so memory holds one prototype's
     text, not the whole file's.
     """
-    blocks = (
-        [{"label": p.label, "fps": p.controls.fps, "controls": p.controls.values.tolist()}
-         | ({} if p.keypoints is None else {"keypoints": p.keypoints.frames.tolist()})]
-        for p in lib.prototypes
-    )
-    _write_json_streamed(path, {"version": LIBRARY_FORMAT_VERSION}, "prototypes", blocks)
+    items = (_prototype_json(p) for p in lib.prototypes)
+    _write_json_streamed(path, {"version": LIBRARY_FORMAT_VERSION}, "prototypes", items)
 
 
 def load_library(path: str | Path) -> PrototypeLibrary:

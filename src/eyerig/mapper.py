@@ -17,6 +17,7 @@ from .channels import (
     N_AU,
     N_GAZE,
     ControlSequence,
+    _dumps_floats,
     _number_problem,
     channel_index,
     validate_sequence,
@@ -398,22 +399,24 @@ def map_sequence(
 _KEYPOINT_BLOCK_FRAMES = 256
 
 
-def _write_json_streamed(path: str | Path, payload: dict, key: str, blocks: Iterable[list[Any]]) -> None:
-    """Write `payload` with `payload[key]` set to the items of `blocks`, non-empty lists, in order.
+def _write_json_streamed(path: str | Path, payload: dict, key: str, items: Iterable[str]) -> None:
+    """Write `payload` with `payload[key]` set to the list whose items' text is `items`, in order.
 
-    The bytes equal `json.dump({**payload, key: [...]}, fh, sort_keys=True)`
-    plus a newline, but each block is encoded on its own by the C encoder
-    (`json.dumps`; `json.dump` runs the pure-Python one), so only one block's
-    text is held at a time.
+    Each piece of `items` is the JSON text of one or more list items, as
+    `json.dumps` separates them.  The bytes equal
+    `json.dump({**payload, key: [...]}, fh, sort_keys=True)` plus a newline,
+    but only one piece's text is held at a time.
     """
     key_text = json.dumps(key)
     head, _, tail = json.dumps({**payload, key: None}, sort_keys=True).partition(f"{key_text}: null")
     with open(path, "w") as fh:
         fh.write(f"{head}{key_text}: [")
         sep = ""
-        for block in blocks:
-            fh.write(sep + json.dumps(block, sort_keys=True)[1:-1])
+        for text in items:
+            fh.write(sep)
+            fh.write(text)
             sep = ", "
+            del text  # free this piece before the next one is encoded
         fh.write(f"]{tail}\n")
 
 
@@ -424,11 +427,11 @@ def save_keypoints_json(seq: KeypointSequence, path: str | Path) -> None:
     on long clips; the file is the same as one `json.dump` of the payload.
     """
     frames = seq.frames
-    blocks = (
-        frames[i : i + _KEYPOINT_BLOCK_FRAMES].tolist()
+    items = (
+        _dumps_floats(frames[i : i + _KEYPOINT_BLOCK_FRAMES])[1:-1]
         for i in range(0, len(frames), _KEYPOINT_BLOCK_FRAMES)
     )
-    _write_json_streamed(path, {"fps": float(seq.fps), "layout": KEYPOINT_LAYOUT}, "frames", blocks)
+    _write_json_streamed(path, {"fps": float(seq.fps), "layout": KEYPOINT_LAYOUT}, "frames", items)
 
 
 def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import AU_NAMES, ControlSequence, _number_problem, channel_index
+from .channels import AU_NAMES, ControlSequence, _number_problem, _refuse_unknown_keys, channel_index
 from .mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL
 from .planner import TEMPLATES, signature_aus
 
@@ -207,6 +207,7 @@ def load_metric_config(path: str | Path) -> MetricConfig:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: metric config must be an object")
+    _refuse_unknown_keys(payload, ("activation_threshold", "signature_override"), f"{path}: $")
     threshold = payload.get("activation_threshold", 0.1)
     if _number_problem(threshold, "non-negative") or not threshold < 1.0:
         raise ValueError(f"{path}: activation_threshold must be in [0, 1), got {threshold!r}")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_version, _number_problem
+from .channels import _check_version, _number_problem, _refuse_unknown_keys
 
 __all__ = [
     "fm_interpolate",
@@ -183,6 +183,9 @@ def load_kto_manifest(path: str | Path) -> KtoManifest:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: manifest must be an object")
+    _refuse_unknown_keys(
+        payload, ("version", "examples", "beta", "desirable_weight", "undesirable_weight"), f"{path}: $"
+    )
     _check_version(payload, KTO_MANIFEST_VERSION, "manifest", path)
     raw = payload.get("examples")
     if not isinstance(raw, list):
@@ -191,6 +194,7 @@ def load_kto_manifest(path: str | Path) -> KtoManifest:
     for k, e in enumerate(raw):
         if not isinstance(e, dict):
             raise ValueError(f"{path}: examples[{k}] must be an object")
+        _refuse_unknown_keys(e, ("id", "reward", "desirable"), f"{path}: examples[{k}]")
         try:
             examples.append(KtoExample(e["id"], e["reward"], e["desirable"]))
         except KeyError as exc:

@@ -15,6 +15,7 @@ from .channels import (
     HEAD_NAMES,
     _check_version,
     _number_problem,
+    _refuse_unknown_keys,
     opposing_gaze,
 )
 
@@ -688,6 +689,9 @@ def signature_aus(
     return tuple(n for n in signature_channels(label, templates) if n in AU_NAMES)
 
 
+_STAGE_KEYS = ("ratio", "semantics", "targets", "exemptions")
+
+
 def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
     """Load a custom stage-template table from JSON.
 
@@ -705,6 +709,7 @@ def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
             raise ValueError(f"template table {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         _table_fail(str(path), "top level must be an object")
+    _refuse_unknown_keys(payload, ("version", "categories"), f"template table {path}: $")
     _check_version(payload, TEMPLATE_TABLE_VERSION, "template table", path)
     cats = payload.get("categories")
     if not isinstance(cats, dict) or not cats:
@@ -717,6 +722,7 @@ def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
         for i, st in enumerate(stages):
             if not isinstance(st, dict):
                 _table_fail(f"categories[{label!r}][{i}]", "stage must be an object")
+            _refuse_unknown_keys(st, _STAGE_KEYS, f"template table {path}: categories[{label!r}][{i}]")
             raw[label].append((st.get("ratio"), st.get("semantics"),
                                st.get("targets", {}), st.get("exemptions", [])))
     return _checked_table(raw)
@@ -747,6 +753,9 @@ def encode_plan(p: Plan) -> str:
     return json.dumps(_plan_payload(p), sort_keys=True, indent=2) + "\n"
 
 
+_EVENT_KEYS = ("start_frame", "end_frame", "semantics", "channel_targets", "exemptions")
+
+
 def decode_agent_plan(text: str) -> Plan:
     """Parse an externally produced plan JSON; errors carry the JSON field path.
 
@@ -758,6 +767,7 @@ def decode_agent_plan(text: str) -> Plan:
         raise ValueError(f"plan payload is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise _fail("$", "plan payload must be an object")
+    _refuse_unknown_keys(payload, ("label", "fps", "total_frames", "events"), "$")
     events_raw = payload.get("events")
     if not isinstance(events_raw, list):
         raise _fail("events", "must be a list")
@@ -766,6 +776,7 @@ def decode_agent_plan(text: str) -> Plan:
         path = f"events[{k}]"
         if not isinstance(ev, dict):
             raise _fail(path, "must be an object")
+        _refuse_unknown_keys(ev, _EVENT_KEYS, path)
         semantics = ev.get("semantics", "")
         if not isinstance(semantics, str):
             raise _fail(f"{path}.semantics", "must be a string")

@@ -1,8 +1,11 @@
 """Control-space invariants, validation rules, resampling, and CSV round trips."""
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eyerig.channels import (
     AU_NAMES,
@@ -13,7 +16,9 @@ from eyerig.channels import (
     GAZE_SLICE,
     HEAD_NAMES,
     N_CHANNELS,
+    CSV_HEADER,
     ControlSequence,
+    _dumps_floats,
     channel_index,
     enforce_state_invariants,
     load_controls_csv,
@@ -28,6 +33,7 @@ from eyerig.library import build_library, load_library, save_library
 from eyerig.mapper import map_sequence
 from eyerig.objectives import KtoExample, KtoManifest, load_kto_manifest, save_kto_manifest
 from eyerig.planner import load_template_table
+from wire import EDGE_VALUES, ORJSON_PATHS, use_encoder_path, with_edges
 
 
 def vec(**channels):
@@ -263,6 +269,37 @@ def test_csv_round_trip_exact(tmp_path):
     back = load_controls_csv(path)
     np.testing.assert_array_equal(back.values, seq.values)
     assert back.fps == seq.fps
+
+
+@pytest.mark.parametrize("encoder", ORJSON_PATHS)
+def test_csv_wire_format(tmp_path, monkeypatch, encoder):
+    use_encoder_path(monkeypatch, encoder)
+    vals = with_edges(np.random.default_rng(8).uniform(-90, 90, (3, N_CHANNELS)))
+    vals[-1] = with_edges(vals[-1])
+    path = tmp_path / "controls.csv"
+    save_controls_csv(ControlSequence(vals, 25.0), path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for t in range(len(vals)):
+            writer.writerow([t + 1] + [repr(float(v)) for v in vals[t]])
+    assert path.read_bytes() == reference.read_bytes()
+    np.testing.assert_array_equal(load_controls_csv(path).values, vals)
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES))
+
+
+@pytest.mark.parametrize("encoder", ORJSON_PATHS)
+@pytest.mark.parametrize("shape", [(), (N_CHANNELS,), (62, 3)], ids=["n", "n-17", "n-62-3"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), data=st.data())
+def test_float_encoder_is_json_dumps(encoder, shape, n, data):
+    arr = data.draw(arrays(np.float64, (n, *shape), elements=_FINITE))
+    with pytest.MonkeyPatch.context() as mp:
+        use_encoder_path(mp, encoder)
+        assert _dumps_floats(arr) == json.dumps(arr.tolist())
 
 
 def test_csv_missing_sidecar_errors(tmp_path):

@@ -363,6 +363,13 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["au_f1"]["f1"] == 1.0  # both silent above 0.99: vacuous match
 
+    def test_metric_config_misspelt_key_exits_1(self, tmp_path, compiled, capsys):
+        mcfg = tmp_path / "m.json"
+        mcfg.write_text(json.dumps({"activation_treshold": 0.99}))
+        path = compiled / "drowsiness.controls.csv"
+        assert run("eval", path, path, "--metric-config", mcfg) == 1
+        assert "m.json: $: unknown keys ['activation_treshold']" in capsys.readouterr().err
+
     def _table_config(self, tmp_path, categories):
         (tmp_path / "table.json").write_text(json.dumps({"version": 1, "categories": categories}))
         cfg = tmp_path / "cfg.json"

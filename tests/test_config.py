@@ -87,11 +87,11 @@ class TestLoading:
 
 class TestRejection:
     def test_unknown_top_level_field(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown fields"):
+        with pytest.raises(ValueError, match=r"cfg\.json: \$: unknown keys \['bogus'\]"):
             load_pipeline_config(_write(tmp_path, {"bogus": 1}))
 
     def test_unknown_rule_field(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown fields"):
+        with pytest.raises(ValueError, match=r"cfg\.json: rules: unknown keys \['bogus'\]"):
             load_pipeline_config(_write(tmp_path, {"rules": {"bogus": 1}}))
 
     @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ class TestRejection:
         assert not out.exists()
 
     def test_unknown_guidance_field(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown fields"):
+        with pytest.raises(ValueError, match=r"cfg\.json: guidance: unknown keys \['bogus'\]"):
             load_pipeline_config(_write(tmp_path, {"guidance": {"bogus": 1}}))
 
     def test_bad_fps(self, tmp_path):

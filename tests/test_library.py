@@ -32,6 +32,7 @@ from eyerig.library import (
     save_library,
 )
 from eyerig.mapper import KeypointSequence, default_model, euler_from_rotation, map_sequence
+from wire import paths_params, use_encoder_path, with_edges
 
 
 def make_sequence(rng, frames=5, fps=25.0):
@@ -196,12 +197,20 @@ def test_library_json_round_trip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n, keypoints",
-    [(0, True), (1, True), (3, True), (1, False), (3, False)],
-    ids=["0", "1", "3", "1-controls-only", "3-controls-only"],
+    "n, keypoints, encoder",
+    paths_params(
+        [(0, True), (1, True), (3, True), (1, False), (3, False)],
+        ["0", "1", "3", "1-controls-only", "3-controls-only"],
+    ),
 )
-def test_library_json_wire_format(tmp_path, n, keypoints):
+def test_library_json_wire_format(tmp_path, monkeypatch, n, keypoints, encoder):
+    use_encoder_path(monkeypatch, encoder)
     lib = make_library(np.random.default_rng(n), n, labels=("calm", "alert"), frames=4)
+    lib = PrototypeLibrary(tuple(
+        replace(p, controls=ControlSequence(with_edges(p.controls.values), p.controls.fps),
+                keypoints=KeypointSequence(with_edges(p.keypoints.frames), p.keypoints.fps))
+        for p in lib.prototypes
+    ))
     if not keypoints:
         lib = without_keypoints(lib)
     path = tmp_path / "lib.json"

@@ -34,6 +34,7 @@ from eyerig.mapper import (
     save_keypoints_json,
 )
 from eyerig.channels import ControlSequence, mirror_control_vector
+from wire import paths_params, use_encoder_path, with_edges
 
 
 def state(**channels):
@@ -248,10 +249,17 @@ def test_keypoint_json_round_trip_3d(tmp_path):
     np.testing.assert_array_equal(back.frames, k3.frames)
 
 
-@pytest.mark.parametrize("dims", [2, 3])
-@pytest.mark.parametrize("n", [1, _KEYPOINT_BLOCK_FRAMES, _KEYPOINT_BLOCK_FRAMES + 1])
-def test_keypoint_json_wire_format(tmp_path, dims, n):
-    frames = np.random.default_rng(n).normal(0.5, 0.2, (n, N_POINTS, dims))
+_WIRE_CASES = [(n, dims) for n in (1, _KEYPOINT_BLOCK_FRAMES, _KEYPOINT_BLOCK_FRAMES + 1) for dims in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "n, dims, encoder", paths_params(_WIRE_CASES, [f"{n}-{dims}" for n, dims in _WIRE_CASES])
+)
+def test_keypoint_json_wire_format(tmp_path, monkeypatch, n, dims, encoder):
+    use_encoder_path(monkeypatch, encoder)
+    frames = with_edges(np.random.default_rng(n).normal(0.5, 0.2, (n, N_POINTS, dims)))
+    # the same edges again in the last frame, so the last block holds them too
+    frames[-1] = with_edges(frames[-1])
     seq = KeypointSequence(frames, 30.0)
     path = tmp_path / "kp.json"
     save_keypoints_json(seq, path)

@@ -351,6 +351,12 @@ class TestMetricConfig:
         with pytest.raises(ValueError, match=r"activation_threshold must be in \[0, 1\), got"):
             load_metric_config(path)
 
+    def test_misspelt_key_refused(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text('{"activation_treshold": 0.9}')
+        with pytest.raises(ValueError, match=r"metrics\.json: \$: unknown keys \['activation_treshold'\]"):
+            load_metric_config(path)
+
     def test_bad_override_channel(self, tmp_path):
         path = tmp_path / "metrics.json"
         path.write_text('{"signature_override": {"anger": ["gaze_left"]}}')

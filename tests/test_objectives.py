@@ -202,6 +202,21 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"examples\[0\]"):
             load_kto_manifest(path)
 
+    @pytest.mark.parametrize(
+        "misspelt, error",
+        [("beta", "prefs.json: $: unknown keys ['betta']"),
+         ("reward", "prefs.json: examples[1]: unknown keys ['rewrd']")],
+    )
+    def test_misspelt_key_refused(self, tmp_path, misspelt, error):
+        path = tmp_path / "prefs.json"
+        save_kto_manifest(self._manifest(), path)
+        payload = json.loads(path.read_text())
+        obj = payload if misspelt == "beta" else payload["examples"][1]
+        obj["betta" if misspelt == "beta" else "rewrd"] = obj.pop(misspelt)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_kto_manifest(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "prefs.json"
         path.write_text("{broken")

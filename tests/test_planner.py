@@ -420,6 +420,20 @@ class TestDecodeAgentPlan:
         with pytest.raises(ValueError, match="events"):
             decode_agent_plan(json.dumps(payload))
 
+    def test_misspelt_event_keys_refused(self):
+        payload = self._payload()
+        ev = payload["events"][0]
+        ev["exemption"], ev["channel_target"] = ev.pop("exemptions"), ev.pop("channel_targets")
+        error = "events[0]: unknown keys ['channel_target', 'exemption']"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            decode_agent_plan(json.dumps(payload))
+
+    def test_misspelt_top_level_key_refused(self):
+        payload = self._payload()
+        payload["total_frame"] = payload.pop("total_frames")
+        with pytest.raises(ValueError, match=re.escape("$: unknown keys ['total_frame']")):
+            decode_agent_plan(json.dumps(payload))
+
     @pytest.mark.parametrize(
         "key, error",
         [
@@ -462,6 +476,14 @@ class TestTemplateTable:
                 ]
             },
         }
+
+    def test_misspelt_stage_key_refused(self, tmp_path):
+        payload = self._valid()
+        stage = payload["categories"]["calm_focus"][1]
+        stage["exemption"] = stage.pop("exemptions")
+        error = "table.json: categories['calm_focus'][1]: unknown keys ['exemption']"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_template_table(self._write(tmp_path, payload))
 
     def test_load_and_plan(self, tmp_path):
         table = load_template_table(self._write(tmp_path, self._valid()))
