@@ -150,15 +150,40 @@ def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     return f"must be a {what}, got {x!r}"
 
 
-def _refuse_unknown_keys(obj: dict, known, where: str) -> None:
-    """The one unknown-key rule: a misspelt key is refused, never dropped.
+def _read_json(path):
+    """The one JSON file read; text that does not parse is a ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
-    `where` names the object as `<file>: <json.path>`, or as the bare JSON
-    path when there is no file.
+
+_KINDS = {"object": dict, "list": list, "string": str}
+
+
+def _fields(obj, spec: dict, where: str, required=()) -> dict:
+    """The one object rule for JSON input: refuse a non-object, an unknown key,
+    a missing `required` key and a present value of the wrong kind; return `obj`.
+
+    `spec` maps each known key to "object", "list", "string", or None where a
+    constructor checks the value.  `where` is `<file>: <json.path>` (top level
+    `$`), or the bare path when there is no file.  No list is walked, so the
+    cost is per key, not per array item.
     """
-    unknown = set(obj) - set(known)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: must be an object")
+    unknown = obj.keys() - spec.keys()
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    for key, kind in spec.items():
+        if kind is not None and key in obj and not isinstance(obj[key], _KINDS[kind]):
+            child = where[:-1] + key if where.endswith("$") else f"{where}.{key}"
+            raise ValueError(f"{child}: must be {'an' if kind == 'object' else 'a'} {kind}")
+    return obj
 
 
 def _dumps_floats(arr: np.ndarray) -> str:
@@ -436,13 +461,8 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
             raise FileNotFoundError(
                 f"missing sidecar {sidecar.name} next to {path.name} (pass fps explicitly to override)"
             )
-        with open(sidecar) as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed sidecar {sidecar}: {exc}") from exc
-        if not isinstance(meta, dict) or "fps" not in meta:
-            raise ValueError(f"sidecar {sidecar} lacks an fps field")
+        meta = _fields(_read_json(sidecar), {"fps": None, "version": None}, f"{sidecar}: $",
+                       required=("fps",))
         _check_version(meta, CSV_FORMAT_VERSION, "controls format", sidecar)
         fps = meta["fps"]
     rows: list[list[float]] = []

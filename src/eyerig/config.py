@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .channels import N_CHANNELS, _number_problem, _refuse_unknown_keys
+from .channels import N_CHANNELS, _fields, _number_problem, _read_json
 from .critic import RuleSet
 from .guidance import GuidanceParams
 from .planner import TEMPLATES, load_template_table
@@ -58,16 +57,6 @@ class PipelineConfig:
             object.__setattr__(self, "query_weights", tuple(float(x) for x in w))
 
 
-def _sub_config(cls, raw, path: Path, name: str):
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path}: {name} must be an object")
-    _refuse_unknown_keys(raw, {f.name for f in dataclasses.fields(cls)}, f"config {path}: {name}")
-    try:
-        return cls(**raw)
-    except ValueError as exc:
-        raise ValueError(f"config {path} {name}: {exc}") from None
-
-
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """Read a config JSON; rules and guidance sections may be partial.
 
@@ -75,43 +64,31 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     immediately, so a missing or malformed table fails here, not mid-run.
     """
     path = Path(path)
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"config {path}: top level must be an object")
-    known = {
-        "fps",
-        "blend_frames",
-        "query_weights",
-        "rules",
-        "guidance",
-        "template_table_path",
-        "seed",
-        "sample_k",
+    spec = {
+        "fps": None, "blend_frames": None, "query_weights": None, "seed": None, "sample_k": None,
+        "rules": "object", "guidance": "object", "template_table_path": None,
     }
-    _refuse_unknown_keys(payload, known, f"config {path}: $")
-
-    kwargs: dict = {}
-    for name in ("fps", "blend_frames", "query_weights", "seed", "sample_k"):
-        if name in payload:
-            kwargs[name] = payload[name]
+    payload = _fields(_read_json(path), spec, f"{path}: $")
+    kwargs = {k: v for k, v in payload.items() if k != "template_table_path"}
     for name, cls in (("rules", RuleSet), ("guidance", GuidanceParams)):
         if name in payload:
-            kwargs[name] = _sub_config(cls, payload[name], path, name)
+            known = dict.fromkeys(f.name for f in dataclasses.fields(cls))
+            section = _fields(payload[name], known, f"{path}: {name}")
+            try:
+                kwargs[name] = cls(**section)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {name}: {exc}") from None
     table_path = payload.get("template_table_path")
     if table_path is not None:
         if not isinstance(table_path, str):
-            raise ValueError(f"config {path}: template_table_path must be a string")
+            raise ValueError(f"{path}: template_table_path: must be a string")
         resolved = Path(table_path)
         if not resolved.is_absolute():
             resolved = path.parent / resolved
         if not resolved.exists():
-            raise ValueError(f"config {path}: template table {resolved} does not exist")
+            raise ValueError(f"{path}: template_table_path: {resolved} does not exist")
         kwargs["template_table"] = load_template_table(resolved)
     try:
         return PipelineConfig(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None

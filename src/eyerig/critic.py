@@ -22,6 +22,7 @@ from .channels import (
 )
 from .composer import compose
 from .planner import (
+    _PHYSIOLOGY_RULES,
     TEMPLATES,
     Plan,
     parse_instructions,
@@ -275,15 +276,11 @@ def _head_support(v, fps, exempt, rules):
                 )
 
 
-# Rules in report order; a rule's name is also the plan exemption that lifts it.
-_PHYSIOLOGY = {
-    "blink_duration": _blink_lengths,
-    "interblink_interval": _blink_gaps,
-    "blink_asymmetry": _lid_asymmetry,
-    "au_coactivation": _antagonists,
-    "gaze_main_sequence": _saccades,
-    "gaze_head_coordination": _head_support,
-}
+# Each rule of _PHYSIOLOGY_RULES with its check, in that report order; a rule's
+# name is also the plan exemption that lifts it.
+_PHYSIOLOGY = dict(zip(_PHYSIOLOGY_RULES, (
+    _blink_lengths, _blink_gaps, _lid_asymmetry, _antagonists, _saccades, _head_support,
+), strict=True))
 
 
 def _physiology(

@@ -19,6 +19,8 @@ from .channels import (
     ControlSequence,
     _check_version,
     _dumps_floats,
+    _fields,
+    _read_json,
 )
 from .mapper import (
     GAZE_POINT_INDICES,
@@ -215,29 +217,22 @@ def save_library(lib: PrototypeLibrary, path: str | Path) -> None:
 
 def load_library(path: str | Path) -> PrototypeLibrary:
     """Read a library JSON; channel means are recomputed, never trusted from disk."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed library file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "version" not in payload:
-        raise ValueError(f"malformed library file {path}: missing version")
+    payload = _fields(_read_json(path), {"version": None, "prototypes": "list"}, f"{path}: $",
+                      required=("prototypes",))
     _check_version(payload, LIBRARY_FORMAT_VERSION, "library", path)
-    entries = payload.get("prototypes")
-    if not isinstance(entries, list):
-        raise ValueError(f"malformed library file {path}: prototypes must be a list")
+    spec = {"label": None, "fps": None, "controls": "list", "keypoints": None}
     protos = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"malformed library file {path}: prototypes[{i}] not an object")
+    for i, entry in enumerate(payload["prototypes"]):
+        where = f"{path}: prototypes[{i}]"
+        _fields(entry, spec, where, required=("label", "fps", "controls"))
         try:
             fps = entry["fps"]
             controls = ControlSequence(np.asarray(entry["controls"], dtype=np.float64), fps)
             kp = entry.get("keypoints")
             keypoints = None if kp is None else KeypointSequence(np.asarray(kp, dtype=np.float64), fps)
             protos.append(Prototype(entry["label"], controls, keypoints))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed prototypes[{i}] in library file {path}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return PrototypeLibrary(tuple(protos))
 
 

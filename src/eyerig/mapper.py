@@ -18,7 +18,9 @@ from .channels import (
     N_GAZE,
     ControlSequence,
     _dumps_floats,
+    _fields,
     _number_problem,
+    _read_json,
     channel_index,
     validate_sequence,
 )
@@ -436,17 +438,10 @@ def save_keypoints_json(seq: KeypointSequence, path: str | Path) -> None:
 
 def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:
     """Load a keypoint JSON whose frames must carry `dims` (2 or 3) coordinates."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed keypoint file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: keypoint payload must be an object")
-    if payload.get("layout") != KEYPOINT_LAYOUT:
-        raise ValueError(f"{path}: unsupported layout {payload.get('layout')!r}")
-    if "fps" not in payload or "frames" not in payload:
-        raise ValueError(f"{path}: missing fps or frames")
+    spec = {"fps": None, "layout": None, "frames": "list"}
+    payload = _fields(_read_json(path), spec, f"{path}: $", required=tuple(spec))
+    if payload["layout"] != KEYPOINT_LAYOUT:
+        raise ValueError(f"{path}: unsupported layout {payload['layout']!r}")
     try:
         frames = np.asarray(payload["frames"], dtype=np.float64)
         if frames.ndim != 3 or frames.shape[1] != N_POINTS:

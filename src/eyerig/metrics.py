@@ -1,14 +1,13 @@
 """Evaluation metrics: activation F1, warped temporal agreement, landmark error."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .channels import AU_NAMES, ControlSequence, _number_problem, _refuse_unknown_keys, channel_index
+from .channels import AU_NAMES, ControlSequence, _fields, _number_problem, _read_json, channel_index
 from .mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL
 from .planner import TEMPLATES, signature_aus
 
@@ -201,19 +200,12 @@ class MetricConfig:
 
 
 def load_metric_config(path: str | Path) -> MetricConfig:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: metric config must be an object")
-    _refuse_unknown_keys(payload, ("activation_threshold", "signature_override"), f"{path}: $")
+    spec = {"activation_threshold": None, "signature_override": "object"}
+    payload = _fields(_read_json(path), spec, f"{path}: $")
     threshold = payload.get("activation_threshold", 0.1)
     if _number_problem(threshold, "non-negative") or not threshold < 1.0:
         raise ValueError(f"{path}: activation_threshold must be in [0, 1), got {threshold!r}")
     override = payload.get("signature_override", {})
-    if not isinstance(override, dict):
-        raise ValueError(f"{path}: signature_override must be an object")
     for label, names in override.items():
         if not isinstance(names, list) or not all(
             isinstance(n, str) and n in AU_NAMES for n in names

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_version, _number_problem, _refuse_unknown_keys
+from .channels import _check_version, _fields, _number_problem, _read_json
 
 __all__ = [
     "fm_interpolate",
@@ -177,36 +177,20 @@ def save_kto_manifest(manifest: KtoManifest, path: str | Path) -> None:
 
 
 def load_kto_manifest(path: str | Path) -> KtoManifest:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: manifest must be an object")
-    _refuse_unknown_keys(
-        payload, ("version", "examples", "beta", "desirable_weight", "undesirable_weight"), f"{path}: $"
-    )
+    spec = {"version": None, "examples": "list", "beta": None,
+            "desirable_weight": None, "undesirable_weight": None}
+    payload = _fields(_read_json(path), spec, f"{path}: $", required=("examples",))
     _check_version(payload, KTO_MANIFEST_VERSION, "manifest", path)
-    raw = payload.get("examples")
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: examples must be a list")
+    keys = ("id", "reward", "desirable")
     examples = []
-    for k, e in enumerate(raw):
-        if not isinstance(e, dict):
-            raise ValueError(f"{path}: examples[{k}] must be an object")
-        _refuse_unknown_keys(e, ("id", "reward", "desirable"), f"{path}: examples[{k}]")
+    for k, e in enumerate(payload["examples"]):
+        _fields(e, dict.fromkeys(keys), f"{path}: examples[{k}]", required=keys)
         try:
             examples.append(KtoExample(e["id"], e["reward"], e["desirable"]))
-        except KeyError as exc:
-            raise ValueError(f"{path}: examples[{k}] missing key {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: examples[{k}].{exc}") from None
+    weights = {k: v for k, v in payload.items() if k not in ("version", "examples")}
     try:
-        return KtoManifest(
-            examples=tuple(examples),
-            beta=payload.get("beta", 625.0),
-            desirable_weight=payload.get("desirable_weight", 1.0),
-            undesirable_weight=payload.get("undesirable_weight", 1.0),
-        )
+        return KtoManifest(tuple(examples), **weights)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -14,8 +14,9 @@ from .channels import (
     DIRECTIONS,
     HEAD_NAMES,
     _check_version,
+    _fields,
     _number_problem,
-    _refuse_unknown_keys,
+    _read_json,
     opposing_gaze,
 )
 
@@ -48,6 +49,19 @@ _BILATERAL = {
 # One stage: (duration ratio, semantics, targets, exemptions).
 _Stage = tuple[float, str, Mapping[str, tuple[float, float]], tuple[str, ...]]
 
+# The critic's physiology rules, in report order: the only names a plan event
+# or a stage may exempt.
+_PHYSIOLOGY_RULES: tuple[str, ...] = (
+    "blink_duration", "interblink_interval", "blink_asymmetry",
+    "au_coactivation", "gaze_main_sequence", "gaze_head_coordination",
+)
+
+
+def _exemption_problem(exemptions) -> str:
+    """What is wrong with an exemption list; empty if nothing."""
+    unknown = sorted((e for e in exemptions if e not in _PHYSIOLOGY_RULES), key=repr)
+    return f"unknown rules {unknown}" if unknown else ""
+
 
 def _target_problems(name: str, interval) -> list[str]:
     """What is wrong with a target interval for channel `name`; empty if nothing.
@@ -79,51 +93,55 @@ def _target_problems(name: str, interval) -> list[str]:
     return problems
 
 
-def _table_fail(context: str, message: str) -> None:
-    raise ValueError(f"template table {context}: {message}")
+def _fail(path: str, message: str) -> ValueError:
+    return ValueError(f"{path}: {message}")
 
 
-def _checked_table(raw: Mapping[str, Sequence[Sequence]]) -> Mapping[str, tuple[_Stage, ...]]:
+def _checked_table(
+    raw: Mapping[str, Sequence[Sequence]], source: str = "template table "
+) -> Mapping[str, tuple[_Stage, ...]]:
     """Check a stage table and return its read-only normal form.
 
     `raw` maps each label to its stages, each a (ratio, semantics, targets,
     exemptions) sequence.  Per stage: the ratio passes the number rule as a
     positive number, semantics is a non-empty string, every target passes the
     target-interval rule under its channel name or bilateral name (AU2, AU4,
-    AU5, AU43), and exemptions is a list of rule names.  Per label, the
-    ratios sum to 1.  Errors name the offending field, e.g.
-    categories['x'][0].targets['AU2'].  In the normal form bilateral names
-    are expanded to _L/_R, intervals are float pairs and exemptions are tuples.
+    AU5, AU43), and exemptions is a list of _PHYSIOLOGY_RULES names.  Per
+    label, the ratios sum to 1.  Errors start with `source`, then name the
+    offending field, e.g. categories['x'][0].targets['AU2'].  In the normal
+    form bilateral names are expanded to _L/_R, intervals are float pairs and
+    exemptions are tuples.
     """
     table = {}
     for label, stages in raw.items():
-        ctx = f"categories[{label!r}]"
+        ctx = f"{source}categories[{label!r}]"
         normal = []
         for i, (ratio, semantics, targets, exempt) in enumerate(stages):
             sctx = f"{ctx}[{i}]"
             problem = _number_problem(ratio, "positive")
             if problem:
-                _table_fail(sctx, f"ratio {problem}")
+                raise _fail(sctx, f"ratio {problem}")
             if not isinstance(semantics, str) or not semantics:
-                _table_fail(sctx, "semantics must be a non-empty string")
+                raise _fail(sctx, "semantics must be a non-empty string")
             if not isinstance(targets, Mapping):
-                _table_fail(sctx, "targets must be an object")
+                raise _fail(sctx, "targets must be an object")
             expanded = {}
             for name, interval in targets.items():
                 channels = _BILATERAL.get(name, (name,))
                 problems = _target_problems(channels[0], interval)
                 if problems:
-                    _table_fail(f"{sctx}.targets[{name!r}]", problems[0])
+                    raise _fail(f"{sctx}.targets[{name!r}]", problems[0])
                 for channel in channels:
                     expanded[channel] = (float(interval[0]), float(interval[1]))
-            if not isinstance(exempt, (list, tuple)) or not all(
-                isinstance(e, str) for e in exempt
-            ):
-                _table_fail(sctx, "exemptions must be a list of rule names")
+            if not isinstance(exempt, (list, tuple)):
+                raise _fail(sctx, "exemptions must be a list of rule names")
+            problem = _exemption_problem(exempt)
+            if problem:
+                raise _fail(f"{sctx}.exemptions", problem)
             normal.append((float(ratio), semantics, MappingProxyType(expanded), tuple(exempt)))
         total = sum(st[0] for st in normal)
         if abs(total - 1.0) > 1e-6:
-            _table_fail(ctx, f"stage ratios sum to {total:g}, expected 1")
+            raise _fail(ctx, f"stage ratios sum to {total:g}, expected 1")
         table[label] = tuple(normal)
     return MappingProxyType(table)
 
@@ -347,10 +365,6 @@ class StagedEvent:
         return self.end_frame - self.start_frame + 1
 
 
-def _fail(path: str, message: str) -> ValueError:
-    return ValueError(f"{path}: {message}")
-
-
 @dataclass(frozen=True)
 class Plan:
     """Ordered staged events covering [1, total_frames] at a fixed rate.
@@ -394,6 +408,9 @@ class Plan:
                 if problems:
                     raise _fail(f"{path}.channel_targets.{name}", problems[0])
                 targets[name] = (float(interval[0]), float(interval[1]))
+            problem = _exemption_problem(ev.exemptions)
+            if problem:
+                raise _fail(f"{path}.exemptions", problem)
             events.append(StagedEvent(start, end, ev.semantics, targets, frozenset(ev.exemptions)))
             cursor = end + 1
         if cursor - 1 != self.total_frames:
@@ -689,9 +706,6 @@ def signature_aus(
     return tuple(n for n in signature_channels(label, templates) if n in AU_NAMES)
 
 
-_STAGE_KEYS = ("ratio", "semantics", "targets", "exemptions")
-
-
 def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
     """Load a custom stage-template table from JSON.
 
@@ -700,32 +714,25 @@ def load_template_table(path) -> Mapping[str, tuple[_Stage, ...]]:
     "exemptions": [rule, ...]}.  Only this JSON shape is checked here; the
     stages pass the same checks as the built-in TEMPLATES and come back in
     the same normal form, so the result drops into plan(..., templates=...)
-    and critique(..., templates=...).
+    and critique(..., templates=...).  Errors name the file.
     """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"template table {path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        _table_fail(str(path), "top level must be an object")
-    _refuse_unknown_keys(payload, ("version", "categories"), f"template table {path}: $")
+    spec = {"version": None, "categories": "object"}
+    payload = _fields(_read_json(path), spec, f"{path}: $", required=("categories",))
     _check_version(payload, TEMPLATE_TABLE_VERSION, "template table", path)
-    cats = payload.get("categories")
-    if not isinstance(cats, dict) or not cats:
-        _table_fail(str(path), "categories must be a non-empty object")
+    if not payload["categories"]:
+        raise _fail(f"{path}: categories", "must be a non-empty object")
+    stage_spec = dict.fromkeys(("ratio", "semantics", "targets", "exemptions"))
     raw: dict[str, list[tuple]] = {}
-    for label, stages in cats.items():
+    for label, stages in payload["categories"].items():
+        where = f"{path}: categories[{label!r}]"
         if not isinstance(stages, list) or not stages:
-            _table_fail(f"categories[{label!r}]", "must be a non-empty list of stages")
+            raise _fail(where, "must be a non-empty list of stages")
         raw[label] = []
         for i, st in enumerate(stages):
-            if not isinstance(st, dict):
-                _table_fail(f"categories[{label!r}][{i}]", "stage must be an object")
-            _refuse_unknown_keys(st, _STAGE_KEYS, f"template table {path}: categories[{label!r}][{i}]")
-            raw[label].append((st.get("ratio"), st.get("semantics"),
+            _fields(st, stage_spec, f"{where}[{i}]", required=("ratio", "semantics"))
+            raw[label].append((st["ratio"], st["semantics"],
                                st.get("targets", {}), st.get("exemptions", [])))
-    return _checked_table(raw)
+    return _checked_table(raw, f"{path}: ")
 
 
 def _plan_payload(p: Plan) -> dict:
@@ -753,9 +760,6 @@ def encode_plan(p: Plan) -> str:
     return json.dumps(_plan_payload(p), sort_keys=True, indent=2) + "\n"
 
 
-_EVENT_KEYS = ("start_frame", "end_frame", "semantics", "channel_targets", "exemptions")
-
-
 def decode_agent_plan(text: str) -> Plan:
     """Parse an externally produced plan JSON; errors carry the JSON field path.
 
@@ -765,30 +769,13 @@ def decode_agent_plan(text: str) -> Plan:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"plan payload is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise _fail("$", "plan payload must be an object")
-    _refuse_unknown_keys(payload, ("label", "fps", "total_frames", "events"), "$")
-    events_raw = payload.get("events")
-    if not isinstance(events_raw, list):
-        raise _fail("events", "must be a list")
-    events: list[StagedEvent] = []
-    for k, ev in enumerate(events_raw):
-        path = f"events[{k}]"
-        if not isinstance(ev, dict):
-            raise _fail(path, "must be an object")
-        _refuse_unknown_keys(ev, _EVENT_KEYS, path)
-        semantics = ev.get("semantics", "")
-        if not isinstance(semantics, str):
-            raise _fail(f"{path}.semantics", "must be a string")
-        targets = ev.get("channel_targets", {})
-        if not isinstance(targets, dict):
-            raise _fail(f"{path}.channel_targets", "must be an object")
-        exempt = ev.get("exemptions", [])
-        if not isinstance(exempt, list) or not all(isinstance(x, str) for x in exempt):
-            raise _fail(f"{path}.exemptions", "must be a list of rule ids")
-        events.append(
-            StagedEvent(ev.get("start_frame"), ev.get("end_frame"), semantics, targets, exempt)
-        )
-    return Plan(
-        payload.get("label"), tuple(events), payload.get("total_frames"), payload.get("fps")
-    )
+    spec = {"label": None, "fps": None, "total_frames": None, "events": "list"}
+    _fields(payload, spec, "$", required=tuple(spec))
+    event_spec = {"start_frame": None, "end_frame": None, "semantics": "string",
+                  "channel_targets": "object", "exemptions": "list"}
+    events = []
+    for k, ev in enumerate(payload["events"]):
+        _fields(ev, event_spec, f"events[{k}]", required=("start_frame", "end_frame"))
+        events.append(StagedEvent(ev["start_frame"], ev["end_frame"], ev.get("semantics", ""),
+                                  ev.get("channel_targets", {}), ev.get("exemptions", [])))
+    return Plan(payload["label"], tuple(events), payload["total_frames"], payload["fps"])

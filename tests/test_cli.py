@@ -296,7 +296,7 @@ class TestMalformedValues:
         assert run("compile", "--label", "fear", "--frames", "30", "--library", path,
                    "--out-dir", out) == 1
         err = capsys.readouterr().err
-        assert "prototypes[0] in library file" in err and "lib.json" in err and message in err
+        assert "lib.json: prototypes[0]: " in err and message in err
         assert not out.exists()
 
 

@@ -263,7 +263,7 @@ def test_library_malformed_values_name_file_and_entry(tmp_path, payload, message
     # "1e999" is written bare, so the JSON parser reads it as inf
     path.write_text(json.dumps(payload).replace('"1e999"', "1e999"))
     if payload["prototypes"]:
-        message = r"malformed prototypes\[0\] in library file \S*lib\.json: .*" + message
+        message = r"\S*lib\.json: prototypes\[0\]: .*" + message
     with pytest.raises(ValueError, match=message):
         load_library(path)
 
@@ -278,7 +278,7 @@ def test_library_version_mismatch(tmp_path):
 def test_library_malformed(tmp_path):
     path = tmp_path / "lib.json"
     path.write_text("{not json")
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match=r"lib\.json: not valid JSON"):
         load_library(path)
 
 
@@ -286,7 +286,7 @@ def test_library_with_2d_keypoints_names_file(tmp_path):
     path = tmp_path / "lib.json"
     entry = {"label": "x", "fps": 25.0, "controls": [[0.0] * 17], "keypoints": [[[0.5, 0.5]] * 62]}
     path.write_text(json.dumps({"version": 1, "prototypes": [entry]}))
-    with pytest.raises(ValueError, match=r"lib\.json: prototype 'x': keypoints must be 3-D"):
+    with pytest.raises(ValueError, match=r"lib\.json: prototypes\[0\]: prototype 'x': keypoints must be 3-D"):
         load_library(path)
 
 

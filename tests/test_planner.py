@@ -11,6 +11,7 @@ from eyerig.planner import (
     TEMPLATES,
     Plan,
     StagedEvent,
+    _checked_table,
     decode_agent_plan,
     encode_plan,
     load_template_table,
@@ -428,6 +429,16 @@ class TestDecodeAgentPlan:
         with pytest.raises(ValueError, match=re.escape(error)):
             decode_agent_plan(json.dumps(payload))
 
+    def test_misspelt_exemption_refused(self):
+        error = "exemptions: unknown rules ['blink_durration']"
+        events = (StagedEvent(1, 20, "a", {}, frozenset({"blink_durration"})),)
+        with pytest.raises(ValueError, match=re.escape(f"events[0].{error}")):
+            Plan("anger", events, 20, 25.0)
+        payload = self._payload()
+        payload["events"][1]["exemptions"] = ["blink_durration", "blink_duration"]
+        with pytest.raises(ValueError, match=re.escape(f"events[1].{error}")):
+            decode_agent_plan(json.dumps(payload))
+
     def test_misspelt_top_level_key_refused(self):
         payload = self._payload()
         payload["total_frame"] = payload.pop("total_frames")
@@ -484,6 +495,18 @@ class TestTemplateTable:
         error = "table.json: categories['calm_focus'][1]: unknown keys ['exemption']"
         with pytest.raises(ValueError, match=re.escape(error)):
             load_template_table(self._write(tmp_path, payload))
+
+    def test_misspelt_exemption_refused(self, tmp_path):
+        payload = self._valid()
+        payload["categories"]["calm_focus"][1]["exemptions"] = ["blink_durration"]
+        error = "categories['calm_focus'][1].exemptions: unknown rules ['blink_durration']"
+        with pytest.raises(ValueError, match=re.escape(f"table.json: {error}")):
+            load_template_table(self._write(tmp_path, payload))
+        # the built-in table's check has no file to name
+        stages = [(st["ratio"], st["semantics"], st["targets"], st.get("exemptions", []))
+                  for st in payload["categories"]["calm_focus"]]
+        with pytest.raises(ValueError, match=re.escape(f"template table {error}")):
+            _checked_table({"calm_focus": stages})
 
     def test_load_and_plan(self, tmp_path):
         table = load_template_table(self._write(tmp_path, self._valid()))
@@ -619,6 +642,6 @@ def test_target_interval_rule(tmp_path, case):
         expanded = ("AU2_L", "AU2_R") if name == "AU2" else (name,)
         assert load_template_table(path)["calm"][0][2] == dict.fromkeys(expanded, tuple(interval))
     else:
-        context = f"template table categories['calm'][0].targets['{name}']: "
+        context = f"table.json: categories['calm'][0].targets['{name}']: "
         with pytest.raises(ValueError, match=re.escape(context) + ".*" + re.escape(problem)):
             load_template_table(path)
