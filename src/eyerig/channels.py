@@ -150,13 +150,58 @@ def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     return f"must be a {what}, got {x!r}"
 
 
-def _read_json(path):
-    """The one JSON file read; text that does not parse is a ValueError naming the file."""
-    with open(path) as fh:
+def _orjson():
+    """The orjson module, or None when it does not import.
+
+    The one "orjson if installed" rule, for the array encoder and the JSON
+    reader alike.  It is imported on the first call, so a command that writes
+    no array and reads no JSON never loads it.
+    """
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return orjson
+
+
+# Maps every digit to "0", "." to itself and every other byte to a space, so a
+# run of 19 or more digits not after a "." (an integer that may be outside
+# orjson's [-2**63, 2**64)) shows as _LONG_INT in the translated text.  It
+# never shows in eyerig's own files: repr writes at most 16 digits before a ".".
+_DIGITS_ONLY = bytes(48 if 48 <= b <= 57 else b if b == 46 else 32 for b in range(256))
+_LONG_INT = b" " + b"0" * 19
+
+
+def _loads(raw: bytes):
+    """`json.loads(raw.decode("utf-8"))`'s value, type for type and bit for bit.
+
+    orjson, when it imports, decodes the bytes.  Where its value could differ
+    from json's, the text goes to `json.loads` instead: orjson raises on NaN,
+    Infinity, floats beyond float range (json reads inf) and lone surrogates,
+    and it returns a float for an integer outside [-2**63, 2**64), so text
+    with 19 or more digits in a row outside a fraction skips it.  Raises
+    what the json path raises: UnicodeDecodeError, json.JSONDecodeError, or
+    RecursionError for arrays or objects nested about a thousand deep, which
+    orjson reads.
+    """
+    orjson = _orjson()
+    if orjson is not None and _LONG_INT not in (b" " + raw).translate(_DIGITS_ONLY):
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(raw.decode("utf-8"))
+
+
+def _read_json(path):
+    """The one JSON file read, `_loads` of its bytes; text that is not UTF-8,
+    does not parse or nests too deep for json is a ValueError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return _loads(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 _KINDS = {"object": dict, "list": list, "string": str}
@@ -189,17 +234,15 @@ def _fields(obj, spec: dict, where: str, required=()) -> dict:
 def _dumps_floats(arr: np.ndarray) -> str:
     """`json.dumps(arr.tolist())` for a finite float64 array, byte for byte.
 
-    orjson, when it imports, encodes the array; it is imported on the first
-    call, so commands that write no arrays never load it.  Its text equals
+    orjson, when it imports (`_orjson`), encodes the array.  Its text equals
     `repr`'s for 0 and for magnitudes below 1e-9 or in [1e-4, 1e16).  Elsewhere
     it writes fixed notation, an unpadded exponent or one without its sign
     (`0.000015`, `1.5e-6`, `1e16`), so those values alone are re-encoded with
     `json.dumps`.  Values are picked one by one, not per array: every 3-D
     keypoint frame holds float dust (6.9e-18), and most blocks hold no odd value.
     """
-    try:
-        import orjson
-    except ImportError:
+    orjson = _orjson()
+    if orjson is None:
         return json.dumps(arr.tolist())
     arr = np.ascontiguousarray(arr)
     raw = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
@@ -465,6 +508,9 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
                        required=("fps",))
         _check_version(meta, CSV_FORMAT_VERSION, "controls format", sidecar)
         fps = meta["fps"]
+        problem = _number_problem(fps, "positive")
+        if problem:
+            raise ValueError(f"{sidecar}: fps: {problem}")
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

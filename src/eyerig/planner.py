@@ -15,6 +15,7 @@ from .channels import (
     HEAD_NAMES,
     _check_version,
     _fields,
+    _loads,
     _number_problem,
     _read_json,
     opposing_gaze,
@@ -760,14 +761,15 @@ def encode_plan(p: Plan) -> str:
     return json.dumps(_plan_payload(p), sort_keys=True, indent=2) + "\n"
 
 
-def decode_agent_plan(text: str) -> Plan:
+def decode_agent_plan(text: str | bytes) -> Plan:
     """Parse an externally produced plan JSON; errors carry the JSON field path.
 
+    Bytes, such as a plan file's, are decoded as every JSON file is (`_loads`).
     Only the JSON shape is checked here; the Plan checks its own values.
     """
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text) if isinstance(text, str) else _loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"plan payload is not valid JSON: {exc}") from exc
     spec = {"label": None, "fps": None, "total_frames": None, "events": "list"}
     _fields(payload, spec, "$", required=tuple(spec))

@@ -269,7 +269,7 @@ class TestMalformedValues:
         (tmp_path / "x.controls.meta.json").write_text('{"fps": %s, "version": 1}' % fps)
         out = tmp_path / "kp.json"
         assert run("map", csv_path, "-o", out) == 1
-        assert "x.controls.csv: fps must be a finite positive number" in capsys.readouterr().err
+        assert "x.controls.meta.json: fps: must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fps", ["1e999", "true", '"25"'])

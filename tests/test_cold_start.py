@@ -1,11 +1,12 @@
-"""Cold start: only inversion imports scipy, and only array writes import orjson.
+"""Cold start: only inversion imports scipy, and only JSON reads and array
+writes import orjson.
 
 One fresh interpreter imports eyerig and runs the subcommands in turn; after
 each one it records which scipy modules are loaded and whether orjson is.
 `build-lib` over a 3-D trace with no controls CSV inverts it, which must load
-scipy on demand.  `validate` and `eval` run first, on a controls file written
-beforehand, because once a command has written an array file orjson stays
-loaded.
+scipy on demand.  `validate` runs first, on a controls file written
+beforehand: its sidecar is the first JSON read, and once a command has read
+JSON or written an array file orjson stays loaded.
 """
 import importlib.util
 import json
@@ -72,8 +73,10 @@ def test_only_inversion_imports_scipy(tmp_path):
         assert loaded == [], f"{step} imported {loaded}"
     assert (last, last_code) == ("build-lib", 0)
     assert "scipy.optimize" in last_loaded
-    # nothing before the first array write loads orjson; compile's writes do, if it is installed
+    # nothing before the first JSON read or array write loads orjson; validate's
+    # sidecar read does, if it is installed
+    installed = importlib.util.find_spec("orjson") is not None
     assert [(step, orjson) for step, _, _, orjson in steps[:5]] == [
-        ("import eyerig", False), ("import eyerig.cli", False), ("validate", False), ("eval", False),
-        ("compile", importlib.util.find_spec("orjson") is not None),
+        ("import eyerig", False), ("import eyerig.cli", False), ("validate", installed),
+        ("eval", installed), ("compile", installed),
     ]

@@ -1,8 +1,8 @@
-"""Shared cases for the float wire-format tests: both encoder paths, the edges of repr's notation.
+"""Shared cases for the wire-format tests: both orjson paths, the edges of repr's notation.
 
-Every float-array writer goes through one encoder that uses orjson when it
-imports and `json.dumps` otherwise, so each wire test runs twice: as
-installed, and with orjson hidden.
+Every float-array writer goes through one encoder, and every JSON input
+through one reader, that use orjson when it imports and `json` otherwise, so
+each wire test runs twice: as installed, and with orjson hidden.
 """
 import sys
 
@@ -23,7 +23,7 @@ ORJSON_PATHS = ("installed", "without-orjson")
 
 
 def use_encoder_path(monkeypatch, path: str) -> None:
-    """Hide orjson from the encoder when `path` is "without-orjson"."""
+    """Hide orjson from the encoder and the reader when `path` is "without-orjson"."""
     if path == "without-orjson":
         monkeypatch.setitem(sys.modules, "orjson", None)
 
