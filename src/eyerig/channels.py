@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,6 +131,19 @@ def opposing_gaze(name: str) -> str:
     raise KeyError(name)
 
 
+_SHOW = reprlib.Repr()
+_SHOW.maxlevel = 3
+
+
+def _show(value) -> str:
+    """`repr(value)` for an error message, cut short in depth and length.
+
+    A value read from JSON may nest 100 000 deep, past the depth `repr` can
+    recurse to, or be a 12 MB list; every message that echoes one uses this.
+    """
+    return _SHOW.repr(value)
+
+
 def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     """What is wrong with a number field; empty if nothing.
 
@@ -147,7 +161,7 @@ def _number_problem(x, sign: str = "", integer: bool = False) -> str:
     ):
         return ""
     what = " ".join(w for w in ("finite", sign, "integer" if integer else "number") if w)
-    return f"must be a {what}, got {x!r}"
+    return f"must be a {what}, got {_show(x)}"
 
 
 def _orjson():
@@ -270,7 +284,7 @@ def _check_version(payload: dict, expected: int, what: str, path) -> None:
     """The one file-format version rule: exactly the int `expected`, not true or 1.0."""
     version = payload.get("version")
     if type(version) is not int or version != expected:
-        raise ValueError(f"unsupported {what} version {version!r} in {path}")
+        raise ValueError(f"unsupported {what} version {_show(version)} in {path}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .channels import N_CHANNELS, _fields, _number_problem, _read_json
+from .channels import N_CHANNELS, _fields, _number_problem, _read_json, _show
 from .critic import RuleSet
 from .guidance import GuidanceParams
 from .planner import TEMPLATES, load_template_table
@@ -40,7 +40,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         w = self.query_weights
         if w is not None and not (isinstance(w, (list, tuple)) and len(w) == N_CHANNELS):
-            raise ValueError(f"query_weights must be a list of {N_CHANNELS} numbers, got {w!r}")
+            raise ValueError(
+                f"query_weights must be a list of {N_CHANNELS} numbers, got {_show(w)}"
+            )
         checks = [
             ("fps", self.fps, "positive", False),
             ("blend_frames", self.blend_frames, "non-negative", True),

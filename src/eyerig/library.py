@@ -21,6 +21,7 @@ from .channels import (
     _dumps_floats,
     _fields,
     _read_json,
+    _show,
 )
 from .mapper import (
     GAZE_POINT_INDICES,
@@ -97,7 +98,7 @@ class Prototype:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.label, str) and self.label):
-            raise ValueError(f"prototype label must be a non-empty string, got {self.label!r}")
+            raise ValueError(f"prototype label must be a non-empty string, got {_show(self.label)}")
         if self.keypoints is None:
             return
         dims = self.keypoints.frames.shape[-1]
@@ -270,16 +271,72 @@ def _anchor_points(model: DeformationModel) -> np.ndarray:
     return ids.astype(np.intp)
 
 
-def nnls(A: np.ndarray, b: np.ndarray):
-    """`scipy.optimize.nnls(A, b)`, imported on the first call.
+def _settle(G: np.ndarray, c: np.ndarray, x: np.ndarray, passive: np.ndarray,
+            rows: np.ndarray) -> None:
+    """Lawson–Hanson's inner loop for `rows`, updating `x` and `passive` in place.
 
-    Only inversion needs scipy, so no other command pays for importing it.
-    `invert_controls` looks this name up at call time, so wrapping the module
-    attribute sees every solve.
+    Solves each row's normal equations G z = c restricted to its passive set
+    (rows and columns outside it replaced by the identity, so z is 0 there).
+    Where some passive z_j <= 0, it steps from x toward z until the first such
+    entry reaches 0, moves the entries that reached 0 out of the passive set
+    and solves again.  A row whose x is 0 on a non-positive entry drops that
+    entry without moving, which is how the warm start in `nnls` is made
+    feasible.  Every row leaves with x = z > 0 on its passive set.
     """
-    from scipy.optimize import nnls as solve
+    eye = np.eye(G.shape[0])
+    while rows.size:
+        P = passive[rows]
+        z = np.linalg.solve(np.where(P[:, :, None] & P[:, None, :], G, eye),
+                            np.where(P, c[rows], 0.0)[..., None])[..., 0]
+        neg = P & ~(z > 0.0)
+        done = ~neg.any(axis=1)
+        x[rows[done]] = np.where(P[done], z[done], 0.0)
+        rows, P, z, neg = rows[~done], P[~done], z[~done], neg[~done]
+        xr = x[rows]
+        ratio = np.divide(xr, xr - z, out=np.where(neg, 0.0, np.inf), where=neg & (xr > 0.0))
+        alpha = ratio.min(axis=1, keepdims=True)
+        hit = neg & (ratio == alpha)
+        x[rows] = np.where(hit | ~P, 0.0, xr + alpha * (z - xr))
+        passive[rows] = P & ~hit
 
-    return solve(A, b)
+
+def nnls(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """argmin ||R x - q|| over x >= 0 for each row q of the (k, n) stack `Q`.
+
+    `R` is the (n, n) triangular factor of a full-rank design matrix A = QR
+    and each q = Q^T b, so each answer is also argmin ||A x - b|| over x >= 0.
+    Lawson & Hanson's active-set method (*Solving Least Squares Problems*,
+    1974, ch. 23), run on all rows at once.  The passive set starts at the
+    positive entries of the unconstrained answer and is made feasible before
+    the method's outer loop.  After 3n outer iterations a row whose gradient
+    still points into its zero set raises.
+
+    A row's answer does not depend on the other rows: each row has its own
+    tolerance and every product is a stacked (1, n) @ (n, n).
+    `invert_controls` looks this name up at call time, so wrapping the module
+    attribute sees every batch.
+    """
+    n = R.shape[1]
+    G = R.T @ R
+    c = (Q[:, None, :] @ R)[:, 0]  # R^T q
+    # the gradient's scale is about |R| |q|, so each row's zero test follows its own q
+    tol = 10 * n * np.finfo(np.float64).eps * np.linalg.norm(R, 1) * np.abs(Q).max(axis=1)
+    passive = (Q[:, None, :] @ np.linalg.inv(R).T)[:, 0] > 0.0
+    x = np.zeros_like(c)
+    rows = np.arange(len(Q))
+    _settle(G, c, x, passive, rows)
+    for outer in range(3 * n + 1):
+        w = c[rows] - (x[rows, None, :] @ G)[:, 0]  # minus the gradient
+        free = ~passive[rows] & (w > tol[rows, None])
+        more = free.any(axis=1)
+        rows = rows[more]
+        if rows.size == 0:
+            return x
+        if outer == 3 * n:
+            break
+        passive[rows, np.argmax(np.where(free[more], w[more], -np.inf), axis=1)] = True
+        _settle(G, c, x, passive, rows)
+    raise ValueError(f"nnls: row {rows[0]} did not converge in {3 * n} iterations")
 
 
 # Pre-computed index sets for the inversion's two residual sub-problems.
@@ -361,8 +418,9 @@ def invert_controls(
         residual = obs_c @ R + c - base  # R.T applied to rows
         b = residual[:, _SHAPE_IDS].reshape(len(active), -1, 1)
         au = (pinv @ b)[..., 0]
-        for i in np.flatnonzero((au < 0.0).any(axis=1)):
-            au[i], _ = nnls(Rqr, (Q.T @ b[i])[:, 0])
+        neg = np.flatnonzero((au < 0.0).any(axis=1))
+        if neg.size:
+            au[neg] = nnls(Rqr, (Q.T @ b[neg])[..., 0])
         au = np.clip(au, 0.0, 1.0)
         g = residual[:, _GAZE_IDS].mean(axis=1)
         # Clamped below at 0 by a select, not np.maximum, so that -0.0 stays -0.0

@@ -21,6 +21,7 @@ from .channels import (
     _fields,
     _number_problem,
     _read_json,
+    _show,
     channel_index,
     validate_sequence,
 )
@@ -441,7 +442,7 @@ def load_keypoints_json(path: str | Path, dims: int) -> KeypointSequence:
     spec = {"fps": None, "layout": None, "frames": "list"}
     payload = _fields(_read_json(path), spec, f"{path}: $", required=tuple(spec))
     if payload["layout"] != KEYPOINT_LAYOUT:
-        raise ValueError(f"{path}: unsupported layout {payload['layout']!r}")
+        raise ValueError(f"{path}: unsupported layout {_show(payload['layout'])}")
     try:
         frames = np.asarray(payload["frames"], dtype=np.float64)
         if frames.ndim != 3 or frames.shape[1] != N_POINTS:

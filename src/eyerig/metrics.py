@@ -7,7 +7,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import AU_NAMES, ControlSequence, _fields, _number_problem, _read_json, channel_index
+from .channels import (
+    AU_NAMES,
+    ControlSequence,
+    _fields,
+    _number_problem,
+    _read_json,
+    _show,
+    channel_index,
+)
 from .mapper import KeypointSequence, LEFT_PUPIL, RIGHT_PUPIL
 from .planner import TEMPLATES, signature_aus
 
@@ -204,7 +212,7 @@ def load_metric_config(path: str | Path) -> MetricConfig:
     payload = _fields(_read_json(path), spec, f"{path}: $")
     threshold = payload.get("activation_threshold", 0.1)
     if _number_problem(threshold, "non-negative") or not threshold < 1.0:
-        raise ValueError(f"{path}: activation_threshold must be in [0, 1), got {threshold!r}")
+        raise ValueError(f"{path}: activation_threshold must be in [0, 1), got {_show(threshold)}")
     override = payload.get("signature_override", {})
     for label, names in override.items():
         if not isinstance(names, list) or not all(

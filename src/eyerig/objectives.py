@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_version, _fields, _number_problem, _read_json
+from .channels import _check_version, _fields, _number_problem, _read_json, _show
 
 __all__ = [
     "fm_interpolate",
@@ -67,6 +67,12 @@ def fm_loss_grad(pred_velocity: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> n
     return 2.0 * (pred - target) / pred.size
 
 
+def _expit(m: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-m), with no overflow: e^-|m| is at most 1."""
+    e = np.exp(-np.abs(m))
+    return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def kto_loss(
     rewards,
     z_ref: float,
@@ -82,8 +88,6 @@ def kto_loss(
     the reference point stop paying once saturated, losses below it stop
     hurting once saturated.
     """
-    from scipy.special import expit  # here, not at the top: nothing else needs scipy
-
     r = np.atleast_1d(np.asarray(rewards, dtype=np.float64))
     d = np.atleast_1d(np.asarray(desirable, dtype=bool))
     if r.shape != d.shape:
@@ -94,8 +98,8 @@ def kto_loss(
     # 1 - sigmoid(m) computed as sigmoid(-m): exact deep into the tails
     per_sample = np.where(
         d,
-        desirable_weight * expit(-margin),
-        undesirable_weight * expit(margin),
+        desirable_weight * _expit(-margin),
+        undesirable_weight * _expit(margin),
     )
     return float(per_sample.mean())
 
@@ -116,12 +120,12 @@ class KtoExample:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.sample_id, str) and self.sample_id):
-            raise ValueError(f"id must be a non-empty string, got {self.sample_id!r}")
+            raise ValueError(f"id must be a non-empty string, got {_show(self.sample_id)}")
         problem = _number_problem(self.reward)
         if problem:
             raise ValueError(f"reward {problem}")
         if not isinstance(self.desirable, bool):
-            raise ValueError(f"desirable must be true or false, got {self.desirable!r}")
+            raise ValueError(f"desirable must be true or false, got {_show(self.desirable)}")
         object.__setattr__(self, "reward", float(self.reward))
 
 

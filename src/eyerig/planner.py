@@ -18,6 +18,7 @@ from .channels import (
     _loads,
     _number_problem,
     _read_json,
+    _show,
     opposing_gaze,
 )
 
@@ -80,7 +81,7 @@ def _target_problems(name: str, interval) -> list[str]:
         or len(interval) != 2
         or not all(isinstance(x, Real) and not isinstance(x, bool) for x in interval)
     ):
-        return [f"must be a [lo, hi] pair of numbers, got {interval!r}"]
+        return [f"must be a [lo, hi] pair of numbers, got {_show(interval)}"]
     try:
         lo, hi = float(interval[0]), float(interval[1])
     except OverflowError:  # an int literal beyond float range

@@ -332,3 +332,36 @@ def test_deep_nesting_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, pat
     assert main([str(a) for a in _compile(tmp_path) + ["--library", deep]]) == 1
     err = capsys.readouterr().err
     assert f"{deep}: " in err and "Traceback" not in err
+
+
+# Per loader: fields whose error message shows the value read.  A value nested
+# 100 000 deep is past the depth repr can recurse to, so every such message
+# shows a bounded repr.
+_ECHOED = {
+    "pipeline_config": [("seed",), ("query_weights",)],
+    "template_table": [(*_STAGE, "targets", "AU1")],
+    "metric_config": [("activation_threshold",)],
+    "kto_manifest": [("examples", 0, "id"), ("examples", 0, "desirable")],
+    "agent_plan": [("events", 0, "channel_targets", "AU4_L")],
+    "library": [("prototypes", 0, "label")],
+    "keypoints": [("layout",)],
+    "controls_sidecar": [("version",)],
+}
+_ECHOED_CASES = [(loader, keys) for loader, fields in _ECHOED.items() for keys in fields]
+_ECHOED_IDS = [f"{loader}-{'.'.join(map(str, keys))}" for loader, keys in _ECHOED_CASES]
+
+
+@pytest.mark.parametrize("loader, keys, path", paths_params(_ECHOED_CASES, _ECHOED_IDS))
+def test_deeply_nested_value_exits_1(tmp_path, capsys, monkeypatch, loader, keys, path):
+    use_encoder_path(monkeypatch, path)
+    file = _write(tmp_path, loader, _set(*keys, value="DEEP"))
+    file.write_text(file.read_text().replace('"DEEP"', "[" * 100_000 + "]" * 100_000))
+    _, _, load, cli_args = LOADERS[loader]
+    with pytest.raises(ValueError) as info:
+        load(file)
+    assert len(str(info.value)) < 500
+    if cli_args is None:
+        return
+    assert main([str(a) for a in cli_args(tmp_path, file)]) == 1
+    err = capsys.readouterr().err
+    assert file.name in err and "Traceback" not in err

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eyerig.library as library
 from eyerig import build_demo_library, compose, plan, refine
@@ -367,6 +368,52 @@ def test_kabsch_stack_matches_per_pair():
     assert np.array_equal(shared, [library._kabsch(source[0], t) for t in target])
 
 
+def nnls_problem(seed, k):
+    """A well-conditioned (10, 10) triangular R, as QR leaves it, and k right-hand
+    sides whose scales differ by up to 1e12, so a tolerance shared by a batch shows."""
+    rng = np.random.default_rng(seed)
+    _, R = np.linalg.qr(rng.normal(size=(40, N_AU)))
+    return R, rng.normal(size=(k, N_AU)) * 10.0 ** rng.uniform(-6.0, 6.0, (k, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40))
+def test_nnls_meets_kkt(seed, k):
+    R, Q = nnls_problem(seed, k)
+    X = library.nnls(R, Q)
+    assert X.shape == (k, N_AU)
+    for x, q in zip(X, Q):
+        assert np.all(x >= 0.0)
+        w = R.T @ (q - R @ x)  # minus the gradient of ||Rx - q||^2 / 2
+        tol = 1e-12 * np.linalg.norm(R) * np.linalg.norm(q)
+        assert np.all(w[x == 0.0] <= tol)
+        assert np.all(np.abs(w[x > 0.0]) <= tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_nnls_equals_exhaustive_scan(seed):
+    """The least-squares answer on each of the 2^10 passive sets, by SVD: the best
+    one that is non-negative is the answer."""
+    R, Q = nnls_problem(seed, 3)
+    masks = (np.arange(2**N_AU)[:, None] >> np.arange(N_AU) & 1).astype(bool)
+    pinvs = np.linalg.pinv(R * masks[:, None, :])  # columns outside the set zeroed
+    for x, q in zip(library.nnls(R, Q), Q):
+        Z = np.where(masks, pinvs @ q, 0.0)
+        feasible = Z[(Z >= 0.0).all(axis=1)]
+        best = feasible[np.argmin(np.linalg.norm(feasible @ R.T - q, axis=1))]
+        assert np.linalg.norm(x - best) <= 1e-12 * np.linalg.norm(best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64))
+def test_nnls_rows_do_not_depend_on_their_batch(seed, k):
+    R, Q = nnls_problem(seed, k)
+    X = library.nnls(R, Q)
+    for i in range(k):
+        assert X[i].tobytes() == library.nnls(R, Q[i:i + 1])[0].tobytes()
+
+
 def invert_loop(keypoints, baseline, model=None, max_iter=200, tol=1e-12):
     """The frame-by-frame inversion: the reference the batched one must equal
     bit for bit, with the same NNLS calls."""
@@ -403,7 +450,7 @@ def invert_loop(keypoints, baseline, model=None, max_iter=200, tol=1e-12):
             b = residual[library._SHAPE_IDS].reshape(-1)
             au = pinv @ b
             if np.any(au < 0.0):
-                au, _ = library.nnls(Rqr, Q.T @ b)
+                au = library.nnls(Rqr, (Q.T @ b)[None])[0]
             au = np.clip(au, 0.0, 1.0)
             g = residual[library._GAZE_IDS].mean(axis=0)
             gaze = np.clip(
@@ -434,12 +481,12 @@ def invert_loop(keypoints, baseline, model=None, max_iter=200, tol=1e-12):
 
 @pytest.fixture
 def nnls_calls(monkeypatch):
-    """Counts calls to the NNLS solver as eyerig.library looks it up."""
+    """Counts the rows given to the NNLS solver as eyerig.library looks it up."""
     calls = [0]
     solver = library.nnls
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += len(args[1])
         return solver(*args)
 
     monkeypatch.setattr(library, "nnls", counted)

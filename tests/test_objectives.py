@@ -2,6 +2,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestKtoLoss:
     def test_extreme_rewards_saturate(self):
         assert kto_loss(10.0, 0.0, True) == pytest.approx(0.0, abs=1e-12)
         assert kto_loss(-10.0, 0.0, True) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("margin", [800.0, 1e6])
+    def test_tails_are_exact_without_warnings(self, margin):
+        # exp(margin) overflows; the loss never computes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, desirable, want in [(margin, True, 0.0), (-margin, True, 2.0),
+                                       (margin, False, 3.0), (-margin, False, 0.0)]:
+                got = kto_loss(m, 0.0, desirable, beta=1.0, desirable_weight=2.0,
+                               undesirable_weight=3.0)
+                assert got == want
 
 
 class TestZRef:
