@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import reprlib
 import sys
@@ -38,7 +39,6 @@ __all__ = [
     "validate_sequence",
     "resample_sequence",
     "enforce_state_invariants",
-    "mirror_control_vector",
     "save_controls_csv",
     "load_controls_csv",
 ]
@@ -103,16 +103,6 @@ LID_CONFLICT_PAIRS: tuple[tuple[str, str], ...] = (("AU5_L", "AU43_L"), ("AU5_R"
 LID_CONFLICT_LIMIT = 0.5
 
 _INDEX: dict[str, int] = {name: i for i, name in enumerate(CHANNEL_NAMES)}
-
-# L/R channel swaps under a bilateral mirror; yaw and roll flip sign, pitch is even.
-_MIRROR_SWAPS: tuple[tuple[str, str], ...] = (
-    ("AU2_L", "AU2_R"),
-    ("AU4_L", "AU4_R"),
-    ("AU5_L", "AU5_R"),
-    ("AU43_L", "AU43_R"),
-    ("gaze_left", "gaze_right"),
-)
-_MIRROR_NEGATE: tuple[str, ...] = ("yaw", "roll")
 
 CSV_HEADER: tuple[str, ...] = ("frame",) + CHANNEL_NAMES
 CSV_FORMAT_VERSION = 1
@@ -245,8 +235,25 @@ def _fields(obj, spec: dict, where: str, required=()) -> dict:
     return obj
 
 
-def _dumps_floats(arr: np.ndarray) -> str:
-    """`json.dumps(arr.tolist())` for a finite float64 array, byte for byte.
+def _runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first item of each run of bit-identical items along axis 0,
+    and each run's length.
+
+    The one "same frame" rule.  Items are compared by their float64 bit
+    patterns, not by value: 0.0 == -0.0, but the two encode differently, and
+    inverted libraries hold -0.0.
+    """
+    bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+    bits = bits.reshape(len(bits), math.prod(bits.shape[1:]))
+    starts = np.ones(len(bits), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    heads = np.flatnonzero(starts)
+    return heads, np.diff(heads, append=len(bits))
+
+
+def _encode(arr: np.ndarray, sep: str) -> str:
+    """`json.dumps(arr.tolist(), separators=(sep, ": "))` for a finite float64
+    array, byte for byte.
 
     orjson, when it imports (`_orjson`), encodes the array.  Its text equals
     `repr`'s for 0 and for magnitudes below 1e-9 or in [1e-4, 1e16).  Elsewhere
@@ -257,14 +264,14 @@ def _dumps_floats(arr: np.ndarray) -> str:
     """
     orjson = _orjson()
     if orjson is None:
-        return json.dumps(arr.tolist())
+        return json.dumps(arr.tolist(), separators=(sep, ": "))
     arr = np.ascontiguousarray(arr)
     raw = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
     flat = arr.ravel()
     mag = np.abs(flat)
     odd = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-4)) | (mag >= 1e16))
     if odd.size == 0:
-        return raw.decode().replace(",", ", ")
+        return raw.decode().replace(",", sep)
     # Value i, with its brackets, is the text between commas i - 1 and i.  Only
     # the odd values' pieces are cut out, so no list of every number is built.
     commas = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
@@ -273,11 +280,46 @@ def _dumps_floats(arr: np.ndarray) -> str:
         start = int(commas[i - 1]) + 1 if i else 0
         end = int(commas[i]) if i < len(commas) else len(raw)
         piece = raw[start:end].decode()
-        parts += [raw[pos:start].decode().replace(",", ", "),
+        parts += [raw[pos:start].decode().replace(",", sep),
                   piece.replace(piece.strip("[]"), json.dumps(float(flat[i])))]
         pos = end
-    parts.append(raw[pos:].decode().replace(",", ", "))
+    parts.append(raw[pos:].decode().replace(",", sep))
     return "".join(parts)
+
+
+def _encode_runs(arr: np.ndarray, sep: str) -> list[tuple[str, int]]:
+    """`arr` along axis 0 as (`_encode` text of a slice, repeat count) pairs, in order.
+
+    Each run of two or more bit-identical items (`_runs`) is the text of its
+    first item alone, with the run's length as its count.  The items between
+    those runs are one text with count 1, so an array with no repeated item
+    is one `_encode` call, and the calls grow with the runs, not the items.
+    """
+    heads, lengths = _runs(arr)
+    repeated = lengths > 1
+    pieces, start = [], 0
+    for head, n in zip(heads[repeated].tolist(), lengths[repeated].tolist()):
+        if start < head:
+            pieces.append((_encode(arr[start:head], sep), 1))
+        pieces.append((_encode(arr[head : head + 1], sep), n))
+        start = head + n
+    if start < len(arr):
+        pieces.append((_encode(arr[start:], sep), 1))
+    return pieces
+
+
+def _dumps_floats(arr: np.ndarray) -> str:
+    """`json.dumps(arr.tolist())` for a finite float64 array with at least one
+    axis, byte for byte.
+
+    The one array encoder.  Each run of identical items is encoded once and
+    its text written once per item (`_encode_runs`); an array with no
+    repeated item is `_encode`'s text as it stands.
+    """
+    pieces = _encode_runs(arr, ", ")
+    if len(pieces) == 1 and pieces[0][1] == 1:
+        return pieces[0][0]
+    return "[" + ", ".join(", ".join([text[1:-1]] * n) for text, n in pieces) + "]"
 
 
 def _check_version(payload: dict, expected: int, what: str, path) -> None:
@@ -474,21 +516,6 @@ def enforce_state_invariants(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def mirror_control_vector(vec: np.ndarray) -> np.ndarray:
-    """Bilateral mirror of a control vector or (T, 17) array.
-
-    Swaps L/R channel pairs, swaps gaze_left/gaze_right, negates yaw and roll.
-    """
-    arr = np.asarray(vec, dtype=np.float64)
-    out = arr.copy()
-    for a, b in _MIRROR_SWAPS:
-        ia, ib = channel_index(a), channel_index(b)
-        out[..., ia], out[..., ib] = arr[..., ib].copy(), arr[..., ia].copy()
-    for name in _MIRROR_NEGATE:
-        out[..., channel_index(name)] = -out[..., channel_index(name)]
-    return out
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".meta.json") if path.suffix == ".csv" else Path(str(path) + ".meta.json")
 
@@ -499,7 +526,7 @@ def save_controls_csv(seq: ControlSequence, path: str | Path) -> None:
     Values are written as `repr` writes them, so they read back bit-exact.
     """
     path = Path(path)
-    rows = _dumps_floats(seq.values)[2:-2].replace(", ", ",").split("],[")
+    rows = (row for text, n in _encode_runs(seq.values, ",") for row in text[2:-2].split("],[") * n)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CSV_HEADER)
         fh.writelines(f"{t},{row}\r\n" for t, row in enumerate(rows, start=1))
@@ -510,7 +537,10 @@ def save_controls_csv(seq: ControlSequence, path: str | Path) -> None:
 
 
 def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequence:
-    """Read a control CSV; fps comes from the sidecar unless overridden."""
+    """Read a control CSV; fps comes from the sidecar unless overridden.
+
+    The frame column must read 1, 2, ..., T, as `save_controls_csv` writes it.
+    """
     path = Path(path)
     if fps is None:
         sidecar = _sidecar_path(path)
@@ -537,6 +567,9 @@ def load_controls_csv(path: str | Path, fps: float | None = None) -> ControlSequ
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            if row[0] != str(lineno - 1):
+                raise ValueError(f"{path}:{lineno}: frame must be {lineno - 1} (frames run 1..T), "
+                                 f"got {_show(row[0])}")
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:

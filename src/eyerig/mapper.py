@@ -21,6 +21,7 @@ from .channels import (
     _fields,
     _number_problem,
     _read_json,
+    _runs,
     _show,
     channel_index,
     validate_sequence,
@@ -394,8 +395,14 @@ def map_sequence(
         first = report.violations[0].frame
         msgs = "; ".join(v.message for v in report.violations if v.frame == first)
         raise ValueError(f"frame {first}: invalid control state: {msgs}")
-    points2d, rotated = _map_values(seq.values, model)
-    return KeypointSequence(points2d, seq.fps), KeypointSequence(rotated, seq.fps)
+    # _map_values maps each row on its own, so a run of identical frames is
+    # mapped once and its points repeated, bit for bit.  With no run the
+    # points are used as they are: a copy of them costs fresh pages.
+    heads, lengths = _runs(seq.values)
+    points = _map_values(seq.values[heads], model)
+    if len(heads) < len(seq):
+        points = [np.repeat(p, lengths, axis=0) for p in points]
+    return tuple(KeypointSequence(p, seq.fps) for p in points)
 
 
 # Frames per block when streaming keypoints: bounds the text held at once.

@@ -19,10 +19,10 @@ from eyerig.channels import (
     CSV_HEADER,
     ControlSequence,
     _dumps_floats,
+    _runs,
     channel_index,
     enforce_state_invariants,
     load_controls_csv,
-    mirror_control_vector,
     opposing_gaze,
     resample_sequence,
     save_controls_csv,
@@ -33,7 +33,7 @@ from eyerig.library import build_library, load_library, save_library
 from eyerig.mapper import map_sequence
 from eyerig.objectives import KtoExample, KtoManifest, load_kto_manifest, save_kto_manifest
 from eyerig.planner import load_template_table
-from wire import EDGE_VALUES, ORJSON_PATHS, use_encoder_path, with_edges
+from wire import EDGE_VALUES, ORJSON_PATHS, mirror_control_vector, use_encoder_path, with_edges
 
 
 def vec(**channels):
@@ -300,6 +300,72 @@ def test_float_encoder_is_json_dumps(encoder, shape, n, data):
     with pytest.MonkeyPatch.context() as mp:
         use_encoder_path(mp, encoder)
         assert _dumps_floats(arr) == json.dumps(arr.tolist())
+
+
+def _signed_zeros_flipped(row):
+    """`row` with each 0.0 made -0.0 and each -0.0 made 0.0: equal by value, not by bits."""
+    out = row.copy()
+    zeros = out == 0.0
+    out[zeros] = -out[zeros]
+    return out
+
+
+def test_runs_compare_bits_not_values():
+    a = np.zeros((7, 2))
+    a[3, 1] = -0.0
+    a[5:] = 1e16
+    heads, lengths = _runs(a)
+    assert heads.tolist() == [0, 3, 4, 5] and lengths.tolist() == [3, 1, 1, 2]
+    heads, lengths = _runs(np.zeros((0, N_CHANNELS)))
+    assert heads.size == 0 and lengths.size == 0
+
+
+@pytest.mark.parametrize("encoder", ORJSON_PATHS)
+@pytest.mark.parametrize("shape", [(N_CHANNELS,), (62, 2), (62, 3)], ids=["n-17", "n-62-2", "n-62-3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_encoder_is_json_dumps_on_repeated_rows(encoder, shape, data):
+    base = data.draw(arrays(np.float64, shape, elements=_FINITE))
+    base.flat[:3] = (0.0, 1e-5, 1e16)  # a signed zero to flip, and values orjson writes otherwise
+    rows = [base, _signed_zeros_flipped(base), data.draw(arrays(np.float64, shape, elements=_FINITE))]
+    picks = data.draw(st.lists(st.sampled_from(range(len(rows))), max_size=6))
+    arr = np.array([rows[i] for i in picks]).reshape(len(picks), *shape)
+    with pytest.MonkeyPatch.context() as mp:
+        use_encoder_path(mp, encoder)
+        assert _dumps_floats(arr) == json.dumps(arr.tolist())
+
+
+@pytest.mark.parametrize("encoder", ORJSON_PATHS)
+def test_csv_wire_format_with_repeated_rows(tmp_path, monkeypatch, encoder):
+    use_encoder_path(monkeypatch, encoder)
+    row = with_edges(np.zeros(N_CHANNELS))
+    vals = np.array([row] * 3 + [_signed_zeros_flipped(row)] * 2 + [row + 1.0] + [row] * 4)
+    path = tmp_path / "controls.csv"
+    save_controls_csv(ControlSequence(vals, 25.0), path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for t in range(len(vals)):
+            writer.writerow([t + 1] + [repr(float(v)) for v in vals[t]])
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "frames, line, found",
+    [("0,1,2", 2, "'0'"), ("1,3,2", 3, "'3'"), ("1,1,2", 3, "'1'"), ("1.0,2,3", 2, "'1.0'"),
+     (" 1,2,3", 2, "' 1'"), ("1,2,x", 4, "'x'")],
+    ids=["from-0", "skip", "duplicate", "float", "space", "text"],
+)
+def test_csv_frame_column_must_be_1_to_t(tmp_path, frames, line, found):
+    path = tmp_path / "c.csv"
+    save_controls_csv(ControlSequence(np.zeros((3, N_CHANNELS)), 25.0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    for i, frame in enumerate(frames.split(","), start=1):
+        lines[i] = frame + lines[i][lines[i].index(","):]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"c.csv:{line}: frame must be {line - 1} .*got {found}"):
+        load_controls_csv(path)
 
 
 def test_csv_missing_sidecar_errors(tmp_path):

@@ -272,6 +272,19 @@ class TestMalformedValues:
         assert "x.controls.meta.json: fps: must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "map", "eval"])
+    def test_controls_frame_column(self, tmp_path, compiled, capsys, command):
+        csv_path = tmp_path / "x.controls.csv"
+        lines = (compiled / "drowsiness.controls.csv").read_text().splitlines(keepends=True)
+        lines[3] = "7" + lines[3][lines[3].index(","):]
+        csv_path.write_text("".join(lines))
+        (tmp_path / "x.controls.meta.json").write_bytes(
+            (compiled / "drowsiness.controls.meta.json").read_bytes())
+        extra = {"validate": [], "map": ["-o", tmp_path / "kp.json"], "eval": [csv_path]}[command]
+        assert run(command, csv_path, *extra) == 1
+        assert "x.controls.csv:4: frame must be 3 (frames run 1..T), got '7'" in capsys.readouterr().err
+        assert not (tmp_path / "kp.json").exists()
+
     @pytest.mark.parametrize("fps", ["1e999", "true", '"25"'])
     def test_keypoints_fps(self, tmp_path, compiled, capsys, fps):
         path = tmp_path / "kp.json"

@@ -33,8 +33,8 @@ from eyerig.mapper import (
     rotation_matrix,
     save_keypoints_json,
 )
-from eyerig.channels import ControlSequence, mirror_control_vector
-from wire import paths_params, use_encoder_path, with_edges
+from eyerig.channels import ControlSequence
+from wire import mirror_control_vector, paths_params, use_encoder_path, with_edges
 
 
 def state(**channels):
@@ -213,6 +213,28 @@ def test_map_sequence_matches_per_frame_composition():
         projected = np.stack([ppx + m.scale * rotated[:, 0], ppy - m.scale * rotated[:, 1]], axis=1)
         assert np.array_equal(k3.frames[i], rotated), i
         assert np.array_equal(k2.frames[i], projected), i
+
+
+def test_map_sequence_with_holds_matches_per_frame_composition_bit_for_bit():
+    # long holds, a return to an earlier pose, and two frames that differ only
+    # in the sign of a zero yaw: runs are found by bits and mapped once
+    m = default_model()
+    rng = np.random.default_rng(31)
+    poses = enforce_state_invariants(rng.uniform(0, 0.6, (4, N_CHANNELS)))
+    poses[:, HEAD_SLICE] = rng.uniform(-20, 20, (4, 3))
+    poses[1, 14] = 0.0
+    signed = poses[1].copy()
+    signed[14] = -0.0
+    v = np.array([poses[0]] * 40 + [poses[1]] * 25 + [signed] * 30 + [poses[2], poses[3]]
+                 + [poses[0]] * 60 + [signed])
+    k2, k3 = map_sequence(ControlSequence(v, 25.0), m)
+    c = m.centroid
+    ppx, ppy = m.principal_point
+    for i in range(len(v)):
+        rotated = (deform(v[i], m) - c) @ rotation_matrix(*map(float, v[i, HEAD_SLICE])).T + c
+        projected = np.stack([ppx + m.scale * rotated[:, 0], ppy - m.scale * rotated[:, 1]], axis=1)
+        assert k3.frames[i].tobytes() == rotated.tobytes(), i
+        assert k2.frames[i].tobytes() == projected.tobytes(), i
 
 
 def test_keypoints_stay_normalized_under_legal_poses():

@@ -1,4 +1,4 @@
-"""Shared cases for the wire-format tests: both orjson paths, the edges of repr's notation.
+"""Shared test helpers: both orjson paths, the edges of repr's notation, the control mirror.
 
 Every float-array writer goes through one encoder, and every JSON input
 through one reader, that use orjson when it imports and `json` otherwise, so
@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from eyerig.channels import channel_index
 
 # repr writes fixed notation for magnitudes in [1e-4, 1e16) and an exponent
 # outside it, padded to two digits; these sit on both sides of those edges and
@@ -46,3 +48,30 @@ def paths_params(cases, ids):
         for path in ORJSON_PATHS
         for case, case_id in zip(cases, ids)
     ]
+
+
+# L/R channel swaps under a bilateral mirror; yaw and roll flip sign, pitch is even.
+_MIRROR_SWAPS = (
+    ("AU2_L", "AU2_R"),
+    ("AU4_L", "AU4_R"),
+    ("AU5_L", "AU5_R"),
+    ("AU43_L", "AU43_R"),
+    ("gaze_left", "gaze_right"),
+)
+_MIRROR_NEGATE = ("yaw", "roll")
+
+
+def mirror_control_vector(vec: np.ndarray) -> np.ndarray:
+    """Bilateral mirror of a control vector or (T, 17) array, the oracle for
+    `mapper.mirror_points` on mapped controls.
+
+    Swaps L/R channel pairs, swaps gaze_left/gaze_right, negates yaw and roll.
+    """
+    arr = np.asarray(vec, dtype=np.float64)
+    out = arr.copy()
+    for a, b in _MIRROR_SWAPS:
+        ia, ib = channel_index(a), channel_index(b)
+        out[..., ia], out[..., ib] = arr[..., ib].copy(), arr[..., ia].copy()
+    for name in _MIRROR_NEGATE:
+        out[..., channel_index(name)] = -out[..., channel_index(name)]
+    return out
