@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import numbers
@@ -187,14 +188,24 @@ def _loads(raw: bytes):
     what the json path raises: UnicodeDecodeError, json.JSONDecodeError, or
     RecursionError for arrays or objects nested about a thousand deep, which
     orjson reads.
+
+    The cyclic GC is paused while the value is built, and left as it was
+    found: a fresh tree of containers holds no cycle, so a collection during
+    the decode frees nothing, and reference counting still frees it all.
     """
-    orjson = _orjson()
-    if orjson is not None and _LONG_INT not in (b" " + raw).translate(_DIGITS_ONLY):
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-    return json.loads(raw.decode("utf-8"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        orjson = _orjson()
+        if orjson is not None and _LONG_INT not in (b" " + raw).translate(_DIGITS_ONLY):
+            try:
+                return orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass
+        return json.loads(raw.decode("utf-8"))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_json(path):
@@ -245,10 +256,10 @@ def _runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
     bits = bits.reshape(len(bits), math.prod(bits.shape[1:]))
-    starts = np.ones(len(bits), dtype=bool)
-    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    heads = np.flatnonzero(starts)
-    return heads, np.diff(heads, append=len(bits))
+    edges = np.ones(len(bits) + 1, dtype=bool)  # each run's start, then the end
+    edges[1:-1] = (bits[1:] != bits[:-1]).any(axis=1)
+    bounds = np.flatnonzero(edges)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _encode(arr: np.ndarray, sep: str) -> str:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -62,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eyerig", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="pipeline config JSON")
@@ -163,7 +165,10 @@ def _cmd_build_lib(args, cfg: PipelineConfig) -> int:
         if controls_path.exists():
             controls = load_controls_csv(controls_path)
         else:
-            controls = invert_controls(keypoints, baseline, model)
+            try:
+                controls = invert_controls(keypoints, baseline, model)
+            except ValueError as exc:
+                raise ValueError(f"{kp_path}: {exc}") from None
         records.append((label, controls, keypoints))
     lib = build_library(records)
     save_library(lib, args.out)

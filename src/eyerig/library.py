@@ -21,6 +21,7 @@ from .channels import (
     _dumps_floats,
     _fields,
     _read_json,
+    _runs,
     _show,
 )
 from .mapper import (
@@ -367,8 +368,10 @@ def invert_controls(
     frame's sums keep the order of a one-frame solve (stacked (1, k) and
     (k, 1) products, never one (n, k) @ (k, m)), so the result is
     bit-identical to inverting frame by frame (the reference loop in
-    tests/test_library.py).  Degenerate frames are checked over the whole
-    sequence first; then the lowest non-convergent frame raises.
+    tests/test_library.py).  So a run of bit-identical frames is inverted
+    once, at its first frame, and its vector repeated.  Degenerate frames are
+    checked over the whole sequence first; then the lowest non-convergent
+    frame raises.
     """
     model = model or default_model()
     dims = keypoints.frames.shape[-1]
@@ -385,9 +388,8 @@ def invert_controls(
     # Reduce the tall LS problem once: argmin ||Ax - b|| == argmin ||Rx - Q^T b||.
     Q, Rqr = np.linalg.qr(A)
     pinv = np.linalg.pinv(A)
-    gaze_step = np.array(
-        [model.gaze_bases[i, _GAZE_IDS, :].mean(axis=0) for i in range(N_GAZE)]
-    )  # (4, 3) mean displacement per unit magnitude
+    # (4, 3) mean displacement per unit magnitude
+    gaze_step = model.gaze_bases[:, _GAZE_IDS, :].mean(axis=1)
     h_step = abs(gaze_step[GAZE_NAMES.index("gaze_right"), 0])
     v_step = abs(gaze_step[GAZE_NAMES.index("gaze_up"), 1])
     if h_step <= 0 or v_step <= 0:
@@ -397,12 +399,15 @@ def invert_controls(
     au_flat = model.au_bases.reshape(N_AU, -1)
     gaze_flat = model.gaze_bases.reshape(N_GAZE, -1)
 
-    obs_c = keypoints.frames - c
-    spread = (obs_c - obs_c.mean(axis=1, keepdims=True)).reshape(len(keypoints), 1, -1)
+    # Rows are run heads from here on; a run's first frame is its lowest, so
+    # an error still names the lowest bad frame.
+    heads, lengths = _runs(keypoints.frames)
+    obs_c = keypoints.frames[heads] - c
+    spread = (obs_c - obs_c.mean(axis=1, keepdims=True)).reshape(len(heads), 1, -1)
     # (1, k) @ (k, 1) is a dot product, summed as a one-frame Frobenius norm is.
     degenerate = np.flatnonzero(np.sqrt(spread @ spread.swapaxes(-1, -2)).ravel() < 1e-9)
     if degenerate.size:
-        raise ValueError(f"frame {degenerate[0] + 1}: degenerate keypoint configuration")
+        raise ValueError(f"frame {heads[degenerate[0]] + 1}: degenerate keypoint configuration")
 
     # Rotation seed: rigid anchor points when the model has them, else a
     # crude all-point alignment that the loop refines.
@@ -411,8 +416,8 @@ def invert_controls(
         R = _kabsch(base_c[anchors], obs_c[:, anchors])
     else:
         R = _kabsch(base_c, obs_c)
-    out = np.zeros((len(keypoints), N_CHANNELS))
-    active = np.arange(len(keypoints))  # frame index of each row still iterating
+    out = np.zeros((len(heads), N_CHANNELS))
+    active = np.arange(len(heads))  # run index of each row still iterating
     vec = np.zeros_like(out)  # each active frame's previous vector
     for _ in range(max_iter):
         residual = obs_c @ R + c - base  # R.T applied to rows
@@ -431,9 +436,11 @@ def invert_controls(
         moving = np.flatnonzero(~(np.max(np.abs(new_vec - vec), axis=1) < tol))
         out[active] = new_vec
         if moving.size == 0:
+            if len(heads) < len(keypoints):
+                out = np.repeat(out, lengths, axis=0)
             return ControlSequence(out, keypoints.fps)
         active, obs_c, vec = active[moving], obs_c[moving], new_vec[moving]
         disp = np.matmul(au[moving, None, :], au_flat)
         disp += np.matmul(gaze[moving, None, :], gaze_flat)
         R = _kabsch(base_c + disp.reshape(-1, N_POINTS, 3), obs_c)
-    raise ValueError(f"frame {active[0] + 1}: control inversion did not converge")
+    raise ValueError(f"frame {heads[active[0]] + 1}: control inversion did not converge")

@@ -1,16 +1,23 @@
 """Command-line behavior: subcommands, exit codes, and file outputs."""
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from eyerig import cli
+from eyerig import cli, library
 from eyerig.channels import ControlSequence, load_controls_csv, save_controls_csv
 from eyerig.cli import main
 from eyerig.demo import build_demo_library, demo_records
 from eyerig.guidance import load_guidance_ogf1
 from eyerig.library import build_library, load_library, save_library
-from eyerig.mapper import load_keypoints_json, map_sequence, save_keypoints_json
+from eyerig.mapper import (
+    KeypointSequence,
+    default_model,
+    load_keypoints_json,
+    map_sequence,
+    save_keypoints_json,
+)
 from eyerig.metrics import au_temp
 from eyerig.planner import load_template_table, signature_aus
 
@@ -234,6 +241,25 @@ class TestMapAndBuildLib:
                    "--library", lib_path, "--out-dir", out) in (0, 2)
         assert (out / "drowsiness.audit.json").exists()
 
+    @pytest.mark.parametrize("bad", ["degenerate", "non-convergent"])
+    def test_build_lib_names_the_trace_in_inversion_errors(self, tmp_path, capsys, monkeypatch, bad):
+        m = default_model()
+        moved = map_sequence(next(demo_records())[1])[1].frames[20]
+        third = np.zeros_like(moved) if bad == "degenerate" else moved
+        if bad == "non-convergent":
+            # a neutral frame converges in one iteration, a moved one does not
+            monkeypatch.setattr(cli, "invert_controls",
+                                functools.partial(library.invert_controls, max_iter=1))
+        d = tmp_path / "traces"
+        d.mkdir()
+        trace = d / "fear__000.keypoints.json"
+        save_keypoints_json(KeypointSequence(np.array([m.template] * 2 + [third] * 2), 25.0), trace)
+        assert run("build-lib", d, "-o", tmp_path / "lib.json") == 1
+        message = ("degenerate keypoint configuration" if bad == "degenerate"
+                   else "control inversion did not converge")
+        assert capsys.readouterr().err == f"error: {trace}: frame 3: {message}\n"
+        assert not (tmp_path / "lib.json").exists()
+
     def test_empty_trace_dir(self, tmp_path):
         d = tmp_path / "traces"
         d.mkdir()
@@ -442,6 +468,14 @@ class TestPreview:
 
 
 class TestGlobalFlags:
+    def test_usage_error_leaves_the_parser_for_the_next_call(self, tmp_path, compiled, capsys):
+        csv = compiled / "drowsiness.controls.csv"
+        cli._build_parser.cache_clear()
+        alone = run("validate", csv), capsys.readouterr()
+        assert run("compile", "--label", "fear", "--frames", "x") == 1
+        assert "--frames: invalid int value" in capsys.readouterr().err
+        assert (run("validate", csv), capsys.readouterr()) == alone
+
     def test_fps_override(self, tmp_path):
         code = run("--fps", "50", "compile", "--label", "anger",
                    "--duration-seconds", "1", "--out-dir", tmp_path)

@@ -1,6 +1,7 @@
 """One reader behind every JSON input: each malformed file is a ValueError that
 names the file and the JSON path, and exits 1 where a subcommand reads it; a
 well-formed one reads as `json.load` reads it, with orjson and without."""
+import gc
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from eyerig.channels import (
     N_CHANNELS,
     ControlSequence,
+    _loads,
     _read_json,
     load_controls_csv,
     save_controls_csv,
@@ -332,6 +334,45 @@ def test_deep_nesting_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, pat
     assert main([str(a) for a in _compile(tmp_path) + ["--library", deep]]) == 1
     err = capsys.readouterr().err
     assert f"{deep}: " in err and "Traceback" not in err
+
+
+# A document of 20 000 fresh lists, far past the GC's first generation threshold,
+# and the errors the decode raises.
+_GC_CASES = {
+    "value": (b"[" + b",".join([b"[0.5, 1]"] * 20_000) + b"]", None),
+    "decode-error": (b"[1, ", json.JSONDecodeError),
+    "not-utf-8": (b'["\xff"]', UnicodeDecodeError),
+}
+
+
+@pytest.mark.parametrize("path", ORJSON_PATHS)
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("case", list(_GC_CASES))
+def test_loads_pauses_the_gc_and_leaves_it_as_found(monkeypatch, path, was_enabled, case):
+    use_encoder_path(monkeypatch, path)
+    raw, error = _GC_CASES[case]
+    want = None if error else json.loads(raw)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        if error is None:
+            got = _loads(raw)
+        else:
+            with pytest.raises(error):
+                _loads(raw)
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable()
+        gc.callbacks.remove(record)
+    assert collections == []
+    if error is None:
+        assert got == want
 
 
 # Per loader: fields whose error message shows the value read.  A value nested

@@ -17,6 +17,7 @@ from eyerig.channels import (
     N_CHANNELS,
     N_GAZE,
     ControlSequence,
+    _runs,
     channel_index,
     enforce_state_invariants,
 )
@@ -494,9 +495,14 @@ def nnls_calls(monkeypatch):
 
 
 def assert_matches_loop(k3, nnls_calls):
+    """The batched inversion equals the loop bit for bit, and makes the NNLS
+    calls the loop makes on the first frame of each run of identical frames."""
     m = default_model()
     base = baseline_from_model(m)
     want = invert_loop(k3, base, m)
+    heads = _runs(k3.frames)[0]
+    nnls_calls[0] = 0
+    invert_loop(KeypointSequence(k3.frames[heads], k3.fps), base, m)
     loop_calls, nnls_calls[0] = nnls_calls[0], 0
     got = invert_controls(k3, base, m)
     assert np.array_equal(got.values, want.values)
@@ -530,6 +536,20 @@ def test_invert_equals_loop_all_point_seed(monkeypatch, nnls_calls):
     assert_matches_loop(map_sequence(random_states())[1], nnls_calls)
 
 
+def test_invert_equals_loop_with_holds(nnls_calls):
+    # holds of 20-60 frames, a return to an earlier pose, and two adjacent
+    # frames that differ only in the sign of one zero coordinate: each run is
+    # inverted once, and the repeated vectors are the loop's, byte for byte
+    poses = map_sequence(random_states())[1].frames[:4]
+    zero, signed = poses[1].copy(), poses[1].copy()
+    zero[0, 2], signed[0, 2] = 0.0, -0.0
+    frames = np.array([poses[0]] * 40 + [zero] * 25 + [signed] * 30 + [poses[2], poses[3]]
+                      + [poses[0]] * 60 + [signed] * 20)
+    k3 = KeypointSequence(frames, 25.0)
+    assert len(_runs(k3.frames)[0]) == 7
+    assert assert_matches_loop(k3, nnls_calls) > 0
+
+
 def test_invert_degenerate_frames_checked_before_iterating():
     m = default_model()
     frames = map_sequence(random_states())[1].frames[:5].copy()
@@ -538,6 +558,19 @@ def test_invert_degenerate_frames_checked_before_iterating():
     # frame 1 cannot converge in one iteration, but frame 3 is named first
     with pytest.raises(ValueError, match=r"^frame 3: degenerate"):
         invert_controls(k3, baseline_from_model(m), m, max_iter=1)
+
+
+@pytest.mark.parametrize("bad, max_iter, message", [
+    ("zeros", 200, "degenerate keypoint configuration"),
+    ("moved", 1, "control inversion did not converge"),
+], ids=["degenerate", "non-convergent"])
+def test_invert_error_inside_a_run_names_its_first_frame(bad, max_iter, message):
+    m = default_model()
+    moved = map_sequence(random_states())[1].frames[0]
+    frames = np.array([m.template] * 3 + [np.zeros_like(moved) if bad == "zeros" else moved] * 4
+                      + [m.template] * 2)
+    with pytest.raises(ValueError, match=rf"^frame 4: {message}"):
+        invert_controls(KeypointSequence(frames, 25.0), baseline_from_model(m), m, max_iter=max_iter)
 
 
 def test_invert_non_convergence_names_lowest_frame():
