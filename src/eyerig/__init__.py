@@ -50,6 +50,7 @@ from .critic import (
     RuleSet,
     check_physiology,
     check_semantic,
+    compile_behavior,
     critique,
     refine,
 )

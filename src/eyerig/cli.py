@@ -18,9 +18,8 @@ from .channels import (
     save_controls_csv,
     validate_sequence,
 )
-from .composer import compose
 from .config import PipelineConfig, load_pipeline_config
-from .critic import check_physiology, refine
+from .critic import check_physiology, compile_behavior
 from .demo import build_demo_library
 from .guidance import guidance_field, save_guidance_ogf1
 from .library import (
@@ -47,7 +46,6 @@ from .mapper import (
     save_keypoints_json,
 )
 from .metrics import MetricConfig, au_f1, au_temp, eye_lmd, load_metric_config
-from .planner import plan
 
 __all__ = ["main"]
 
@@ -192,44 +190,14 @@ def _cmd_compile(args, cfg: PipelineConfig) -> int:
         total = args.frames
     else:
         frames = args.duration_seconds * cfg.fps
-        if not math.isfinite(frames):
+        if not (math.isfinite(frames) and frames > 0):
             raise _UsageError(
-                f"--duration-seconds {args.duration_seconds!r} gives no finite frame count at {cfg.fps:g} fps"
+                f"--duration-seconds {args.duration_seconds!r} gives no positive finite frame count at {cfg.fps:g} fps"
             )
         total = max(1, round(frames))
     pose = _parse_pose(args.initial_pose)
-
-    p = plan(
-        args.label,
-        total,
-        cfg.fps,
-        instructions=args.instructions,
-        initial_pose=pose,
-        templates=cfg.template_table,
-    )
     lib = load_library(args.library) if args.library else build_demo_library(cfg.fps)
-    seq0 = compose(
-        p,
-        lib,
-        weights=cfg.query_weights,
-        initial_pose=pose,
-        blend_frames=cfg.blend_frames,
-        sample_k=cfg.sample_k,
-        seed=cfg.seed,
-    )
-    result = refine(
-        seq0,
-        p,
-        lib=lib,
-        rules=cfg.rules,
-        instructions=args.instructions,
-        initial_pose=pose,
-        weights=cfg.query_weights,
-        blend_frames=cfg.blend_frames,
-        templates=cfg.template_table,
-        sample_k=cfg.sample_k,
-        seed=cfg.seed,
-    )
+    result = compile_behavior(args.label, total, lib, args.instructions, pose, cfg)
     points2d, _ = map_sequence(result.sequence)
 
     out_dir = Path(args.out_dir)

@@ -7,14 +7,55 @@ from pathlib import Path
 from typing import Mapping
 
 from .channels import N_CHANNELS, _fields, _number_problem, _read_json, _show
-from .critic import RuleSet
 from .guidance import GuidanceParams
 from .planner import TEMPLATES, load_template_table
 
 __all__ = [
+    "RuleSet",
     "PipelineConfig",
     "load_pipeline_config",
 ]
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """Thresholds for every critic rule; times in milliseconds, angles in deg.
+
+    The per-frame gaze velocity cap is stated at reference_fps and rescaled
+    to the sequence rate, so the physical speed limit is rate-independent.
+    Every field is a finite, non-negative number (event_edge_guard an int,
+    reference_fps positive).
+    """
+
+    blink_min_ms: float = 100.0
+    blink_max_ms: float = 500.0
+    blink_exempt_max_ms: float = 1500.0
+    interblink_min_ms: float = 400.0
+    closure_threshold: float = 0.5
+    asymmetry_limit: float = 0.5
+    coactivation_limit: float = 0.5
+    gaze_velocity_limit: float = 0.25
+    reference_fps: float = 25.0
+    excursion_floor: float = 0.05
+    excursion_coeff: float = 0.3
+    sustain_ms: float = 300.0
+    coordination_window_ms: float = 400.0
+    head_deflection_deg: float = 2.0
+    event_target_tolerance: float = 0.05
+    head_target_tolerance_deg: float = 2.0
+    event_edge_guard: int = 2
+    instruction_presence_min: float = 0.1
+    signature_min: float = 0.1
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            sign = "positive" if f.name == "reference_fps" else "non-negative"
+            problem = _number_problem(getattr(self, f.name), sign, integer=f.type == "int")
+            if problem:
+                raise ValueError(f"{f.name} {problem}")
+
+    def velocity_limit(self, fps: float) -> float:
+        return self.gaze_velocity_limit * self.reference_fps / fps
 
 
 @dataclass(frozen=True)

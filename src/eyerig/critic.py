@@ -1,7 +1,7 @@
-"""Physiological and semantic critique of control sequences, with repair."""
+"""Physiological and semantic critique of control sequences, with repair, and
+the compile entry point that chains plan, compose and refine."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -15,12 +15,12 @@ from .channels import (
     HEAD_NAMES,
     ControlSequence,
     Violation,
-    _number_problem,
     channel_index,
     enforce_state_invariants,
     opposing_gaze,
 )
 from .composer import compose
+from .config import PipelineConfig, RuleSet
 from .planner import (
     _PHYSIOLOGY_RULES,
     TEMPLATES,
@@ -40,6 +40,7 @@ __all__ = [
     "critique",
     "apply_edits",
     "refine",
+    "compile_behavior",
 ]
 
 _COACTIVATION_PAIRS = (
@@ -53,47 +54,6 @@ _LIDS = [channel_index("AU43_L"), channel_index("AU43_R")]
 # refine's budgets: local-edit rounds per plan, and re-plans per clip.
 _MAX_COMPOSITION_ROUNDS = 3
 _MAX_REPLANS = 1
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    """Thresholds for every critic rule; times in milliseconds, angles in deg.
-
-    The per-frame gaze velocity cap is stated at reference_fps and rescaled
-    to the sequence rate, so the physical speed limit is rate-independent.
-    Every field is a finite, non-negative number (event_edge_guard an int,
-    reference_fps positive).
-    """
-
-    blink_min_ms: float = 100.0
-    blink_max_ms: float = 500.0
-    blink_exempt_max_ms: float = 1500.0
-    interblink_min_ms: float = 400.0
-    closure_threshold: float = 0.5
-    asymmetry_limit: float = 0.5
-    coactivation_limit: float = 0.5
-    gaze_velocity_limit: float = 0.25
-    reference_fps: float = 25.0
-    excursion_floor: float = 0.05
-    excursion_coeff: float = 0.3
-    sustain_ms: float = 300.0
-    coordination_window_ms: float = 400.0
-    head_deflection_deg: float = 2.0
-    event_target_tolerance: float = 0.05
-    head_target_tolerance_deg: float = 2.0
-    event_edge_guard: int = 2
-    instruction_presence_min: float = 0.1
-    signature_min: float = 0.1
-
-    def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            sign = "positive" if f.name == "reference_fps" else "non-negative"
-            problem = _number_problem(getattr(self, f.name), sign, integer=f.type == "int")
-            if problem:
-                raise ValueError(f"{f.name} {problem}")
-
-    def velocity_limit(self, fps: float) -> float:
-        return self.gaze_velocity_limit * self.reference_fps / fps
 
 
 @dataclass(frozen=True)
@@ -494,18 +454,27 @@ def apply_edits(
     return ControlSequence(enforce_state_invariants(v), seq.fps)
 
 
+def _plan_and_compose(label, total_frames, fps, lib, instructions, initial_pose, cfg, relax=0.0):
+    """A plan under cfg's stage table and its composition under cfg's retrieval
+    settings: the one place a compile calls plan and compose."""
+    p = build_plan(
+        label, total_frames, fps, instructions=instructions, initial_pose=initial_pose,
+        relax=relax, templates=cfg.template_table,
+    )
+    seq = compose(
+        p, lib, weights=cfg.query_weights, initial_pose=initial_pose,
+        blend_frames=cfg.blend_frames, sample_k=cfg.sample_k, seed=cfg.seed,
+    )
+    return p, seq
+
+
 def refine(
     seq: ControlSequence,
     p: Plan,
     lib=None,
-    rules: RuleSet | None = None,
     instructions: str = "",
     initial_pose: Sequence[float] = (0.0, 0.0, 0.0),
-    weights: Sequence[float] | None = None,
-    blend_frames: int = 3,
-    templates=TEMPLATES,
-    sample_k: int = 1,
-    seed: int | None = None,
+    cfg: PipelineConfig | None = None,
 ) -> RefineResult:
     """Critique-and-repair loop with explicit budgets.
 
@@ -514,10 +483,13 @@ def refine(
     widened targets and recomposes (needs lib), up to _MAX_REPLANS times,
     resetting the composition budget.  When budgets run out the last critique
     is returned with verdict "fail" and the full audit history attached.
-    The stage table in `templates` flows into each critique and re-plan, and
-    `sample_k`/`seed` into each recompose, as in `compose`.
+    cfg (None means PipelineConfig()) supplies the rules, the stage table for
+    each critique and re-plan, and the retrieval settings for each recompose;
+    a re-plan keeps the plan's own fps, not cfg.fps.
     """
-    rules = rules or RuleSet()
+    cfg = cfg or PipelineConfig()
+    rules = cfg.rules
+    templates = cfg.template_table
     current = seq
     current_plan = p
     comp_rounds = 0
@@ -539,26 +511,31 @@ def refine(
         )
         if can_replan:
             replans += 1
-            current_plan = build_plan(
-                current_plan.label,
-                current_plan.total_frames,
-                current_plan.fps,
-                instructions=instructions,
-                initial_pose=initial_pose,
-                relax=0.5 * replans,
-                templates=templates,
-            )
-            current = compose(
-                current_plan,
-                lib,
-                weights=weights,
-                initial_pose=initial_pose,
-                blend_frames=blend_frames,
-                sample_k=sample_k,
-                seed=seed,
+            current_plan, current = _plan_and_compose(
+                current_plan.label, current_plan.total_frames, current_plan.fps, lib,
+                instructions, initial_pose, cfg, relax=0.5 * replans,
             )
             comp_rounds = 0
             continue
         final = CriticReport("fail", report.violations, report.suggestions)
         history[-1] = final
         return RefineResult(current, final, tuple(history), comp_rounds, replans)
+
+
+def compile_behavior(
+    label: str,
+    total_frames: int,
+    lib,
+    instructions: str = "",
+    initial_pose: Sequence[float] = (0.0, 0.0, 0.0),
+    cfg: PipelineConfig | None = None,
+) -> RefineResult:
+    """Compile one behaviour: plan at cfg.fps, compose from lib, then refine.
+
+    cfg (None means PipelineConfig()) carries every setting of the three
+    stages, so the result equals plan, compose and refine called by hand with
+    the same settings.
+    """
+    cfg = cfg or PipelineConfig()
+    p, seq = _plan_and_compose(label, total_frames, cfg.fps, lib, instructions, initial_pose, cfg)
+    return refine(seq, p, lib, instructions, initial_pose, cfg)

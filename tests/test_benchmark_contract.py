@@ -36,3 +36,26 @@ def test_tracer_installs_and_uninstalls_every_layer():
         tracer.uninstall()
     for (mod, fn), original in originals.items():
         assert getattr(sys.modules[f"eyerig.{mod}"], fn) is original
+
+
+def test_tracer_sees_every_stage_of_a_cli_compile(tmp_path):
+    # the kept critic failure replans once; every stage call goes through a
+    # name the tracer patches, so none escapes its counts
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = sys.modules["eyerig.cli"].main([
+            "compile", "--label", "sadness", "--frames", "80",
+            "--instructions", "look up and raise eyebrows", "--out-dir", str(tmp_path),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 2
+    layers = ("planner.plan", "composer.compose", "critic.critique", "critic.refine",
+              "mapper.map_sequence")
+    assert {name: tracer.calls[name] for name in layers} == {
+        "planner.plan": 2, "composer.compose": 2, "critic.critique": 2, "critic.refine": 1,
+        "mapper.map_sequence": 1,
+    }
+    assert tracer.counts["critic.refine.replans"] == 1

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, and file outputs."""
 import functools
+import inspect
 import json
 
 import numpy as np
@@ -52,18 +53,18 @@ class TestCompile:
 
     def test_sample_k_and_seed_reach_refine(self, tmp_path, monkeypatch):
         # a replan recomposes with the config's sample_k and the --seed draw
-        seen, real = {}, cli.refine
+        seen, real = {}, cli.compile_behavior
 
         def spy(*args, **kwargs):
-            seen.update(kwargs)
+            seen.update(inspect.signature(real).bind(*args, **kwargs).arguments)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "refine", spy)
+        monkeypatch.setattr(cli, "compile_behavior", spy)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample_k": 3}))
         assert run("--config", cfg, "--seed", "7", "compile", "--label", "anger",
                    "--frames", "50", "--out-dir", tmp_path / "out") == 0
-        assert (seen["sample_k"], seen["seed"]) == (3, 7)
+        assert (seen["cfg"].sample_k, seen["cfg"].seed) == (3, 7)
 
     def test_unknown_label_lists_categories(self, tmp_path, capsys):
         code = run("compile", "--label", "nonsense", "--frames", "10",
@@ -80,7 +81,7 @@ class TestCompile:
         audit = json.loads((tmp_path / "anger.audit.json").read_text())
         assert audit["frames"] == 30
 
-    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan", "0", "-3", "-0.0"])
     def test_non_finite_duration_is_usage_error(self, tmp_path, capsys, seconds):
         code = run("compile", "--label", "fear", f"--duration-seconds={seconds}",
                    "--out-dir", tmp_path)

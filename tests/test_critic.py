@@ -7,6 +7,7 @@ import pytest
 from corpus import FPS, T, CorpusCase, build_corpus, _neutral_plan, _seq
 from eyerig.channels import ControlSequence, channel_index
 from eyerig.composer import compose
+from eyerig.config import PipelineConfig
 from eyerig.critic import (
     _runs,
     CriticReport,
@@ -15,13 +16,14 @@ from eyerig.critic import (
     apply_edits,
     check_physiology,
     check_semantic,
+    compile_behavior,
     critique,
     refine,
 )
 from eyerig.demo import build_demo_library
 from eyerig.library import build_library
 from eyerig.mapper import KeypointSequence, N_POINTS
-from eyerig.planner import Plan, StagedEvent, plan as build_plan
+from eyerig.planner import CATEGORIES, Plan, StagedEvent, plan as build_plan
 
 CORPUS = build_corpus()
 BY_NAME = {c.name: c for c in CORPUS}
@@ -451,7 +453,7 @@ class TestRefineLoop:
         best = compose(relaxed, lib).values
         differs = 0
         for seed in range(4):
-            result = refine(inert, p, lib=lib, sample_k=3, seed=seed)
+            result = refine(inert, p, lib=lib, cfg=PipelineConfig(sample_k=3, seed=seed))
             assert result.replans == 1
             drawn = compose(relaxed, lib, sample_k=3, seed=seed)
             want = refine(drawn, relaxed)
@@ -464,3 +466,34 @@ class TestRefineLoop:
         result = refine(case.sequence, case.plan)
         assert len(result.history) == result.composition_rounds + 1
         assert result.history[-1].verdict == "pass"
+
+
+class TestCompileBehavior:
+    @pytest.mark.parametrize("fps", [25.0, 30.0])
+    @pytest.mark.parametrize("label", CATEGORIES)
+    def test_equals_plan_compose_refine_by_hand(self, label, fps):
+        lib = build_demo_library(fps)
+        instructions = "look to the left and blink"
+        pose = (4.0, -3.0, 1.5)
+        for sample_k, seed in [(1, None), (3, 0), (3, 5)]:
+            cfg = PipelineConfig(fps=fps, sample_k=sample_k, seed=seed)
+            got = compile_behavior(label, 60, lib, instructions, pose, cfg)
+            p = build_plan(label, 60, fps, instructions=instructions, initial_pose=pose)
+            seq = compose(p, lib, initial_pose=pose, sample_k=sample_k, seed=seed)
+            want = refine(seq, p, lib=lib, instructions=instructions, initial_pose=pose, cfg=cfg)
+            assert got.sequence.fps == fps
+            assert np.array_equal(got.sequence.values, want.sequence.values)
+            assert got.history == want.history
+            assert (got.composition_rounds, got.replans) == (want.composition_rounds, want.replans)
+
+    def test_replan_keeps_the_plan_fps(self):
+        # the default cfg says 25 fps; the replan of a 30 fps plan stays at 30
+        lib = build_demo_library(30.0)
+        p = build_plan("anger", 50, 30.0)
+        inert = ControlSequence(np.zeros((50, 17)), 30.0)
+        result = refine(inert, p, lib=lib)
+        assert result.replans == 1
+        assert result.sequence.fps == 30.0
+        relaxed = build_plan("anger", 50, 30.0, relax=0.5)
+        want = refine(compose(relaxed, lib), relaxed)
+        np.testing.assert_array_equal(result.sequence.values, want.sequence.values)
